@@ -25,10 +25,9 @@
 use std::process::ExitCode;
 
 use printed_report::{
-    diff_kernels, diff_many, diff_robust, diff_suites, parse_history, parse_kernel_history,
-    parse_robust_history, parse_trace, render_history, render_kernel_history, render_kernel_table,
-    render_robust_history, CostReport, DiffConfig, HistoryEntry, KernelHistoryEntry, KernelStats,
-    Profile, RobustHistoryEntry, RobustStats, TraceStats, Watcher,
+    diff_many, diff_suites, parse_history, parse_trace, render_history, render_table, suite_axis,
+    CostReport, DiffConfig, HistoryEntry, KernelStats, Profile, RobustStats, Stats, TraceStats,
+    Watcher,
 };
 
 const USAGE: &str = "\
@@ -37,42 +36,37 @@ usage: printed-trace <command> [args]
 commands:
   report <trace.ndjson>
       Flame/self-time profile plus hardware-cost attribution.
-  diff <baseline> <current> [--max-regress PCT] [--max-wall-regress PCT]
-       [--wall-floor-us N] [--wall-z Z] [--tp-floor PCT] [--table]
+  diff <baseline> <current> [--max-regress PCT] [--max-wall-regress PCT] [--table]
       Gate a run against a baseline; exits 1 on regression.
-      Inputs may be bench_stats NDJSON (single line or a whole suite
-      like BENCH_all.ndjson) or NDJSON traces. Suites are paired by
-      dataset; a dataset missing on either side is a hard error.
-      Calibrated baselines gate wall time at
-      median + max(floor, z*MAD); PCT applies to uncalibrated ones.
+      Inputs are suites of one record kind — bench_stats (BENCH_all.ndjson
+      from bench_all; a single NDJSON trace also counts), kernel_stats
+      (BENCH_hotpath.ndjson from bench_hot) or robust_stats
+      (BENCH_robust.ndjson from bench_robust) — and both sides must carry
+      the same kind. Suites are paired by key (dataset, or dataset/kernel);
+      a record missing on either side is a hard error, while a single
+      trace is looked up inside a suite. Deterministic metrics gate
+      exactly (kernel counts, campaign verdicts) or at PCT drift (area,
+      power, comparators, Gini evals). Calibrated timings gate at
+      median +/- max(floor, 8*MAD): wall times with a 50 ms floor and
+      throughput (downward) with a 25% floor, both refused across
+      environment classes; trials spent (upward) with a 25% floor.
+      --max-wall-regress PCT gates wall time against an uncalibrated
+      baseline instead (defaults to --max-regress).
       PCT accepts `5%`, `5`, or `0.05` (all mean five percent).
-      kernel_stats inputs (BENCH_hotpath.ndjson from bench_hot) switch
-      to the kernel axis: both sides must then be kernel suites, pairs
-      are matched by (dataset, kernel), invocation/item counts must
-      match exactly, and throughput gates at median - max(z*MAD,
-      tp-floor*median) items/s — refused across environment classes.
-      robust_stats inputs (BENCH_robust.ndjson from bench_robust)
-      switch to the robustness axis: deterministic campaign metrics
-      (selected point, yield, worst fault, droop margin, pruned count,
-      trial budget) gate exactly in both directions, while trials spent
-      and campaign wall gate at median + max(z*MAD, floor) — wall is
-      refused across environment classes. Axes never mix: the baseline
-      and current file must carry the same record kind.
-      --table renders the kernel axis as one markdown table (before /
-      after throughput per kernel) instead of per-kernel text blocks —
-      the shape CI step summaries want. Kernel suites only.
+      --table renders the suite as one markdown table (baseline -> current
+      per metric, verdict per record) — the shape CI step summaries want.
   watch <trace.ndjson> [--poll-ms N] [--once]
       Tail an in-flight traced run: rolling k/N progress, candidate
       rate, ETA, and failed-candidate alerts. Robust to torn tails and
       to the final truncate-and-rewrite. --once prints one status line
       and exits (for scripts/CI smoke checks).
   history <history.ndjson> [--dataset NAME]
-      Render per-dataset drift from an append-only bench_history file.
+      Render per-record drift from an append-only history file.
   history append <history.ndjson> <stats.ndjson>
-      Append one bench_history record per bench_stats line (what CI
-      runs after the gate passes). kernel_stats and robust_stats
-      inputs append to their own history axes; all three axes share
-      the file without crosstalk.
+      Append one bench_history, kernel_history or robust_history record
+      per bench_stats, kernel_stats or robust_stats line (what CI runs
+      after the gate passes); all three axes share the file without
+      crosstalk.
   snapshot <trace.ndjson> [-o out.json]
       Condense a trace to a one-line bench_stats baseline.";
 
@@ -104,23 +98,33 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Which regression axis a suite file belongs to. Every diff pairs two
-/// files of the same axis; mixing axes is a usage error (exit 2).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Axis {
-    Bench,
-    Kernel,
-    Robust,
+/// Runs `$run::<S>(args…)` with `S` the stats type of the record kind
+/// `$kind`; anything that is not a kernel or robustness suite is the
+/// bench axis (a `bench_stats` suite or a trace dump).
+macro_rules! per_axis {
+    ($kind:expr, $run:ident($($arg:expr),*)) => {
+        match $kind {
+            Some(kind) if kind == KernelStats::AXIS.stats_kind => $run::<KernelStats>($($arg),*),
+            Some(kind) if kind == RobustStats::AXIS.stats_kind => $run::<RobustStats>($($arg),*),
+            _ => $run::<TraceStats>($($arg),*),
+        }
+    };
 }
 
-impl Axis {
-    fn name(self) -> &'static str {
-        match self {
-            Axis::Bench => "bench_stats",
-            Axis::Kernel => "kernel_stats",
-            Axis::Robust => "robust_stats",
-        }
+/// The record kind of a gate input, `None` for a trace dump; a file
+/// mixing kinds is an error.
+fn suite_kind(path: &str, text: &str) -> Result<Option<&'static str>, String> {
+    let axis = suite_axis(text).map_err(|e| format!("{path}: {e}"))?;
+    Ok(axis.map(|axis| axis.stats_kind))
+}
+
+/// Parses a gate input of kind `S`, printing its parse warnings.
+fn read_suite<S: Stats>(path: &str, text: &str) -> Result<Vec<S>, String> {
+    let (stats, warnings) = S::parse_suite(text).map_err(|e| format!("{path}: {e}"))?;
+    for warning in warnings {
+        eprintln!("warning: {path}: {warning}");
     }
+    Ok(stats)
 }
 
 fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
@@ -158,23 +162,6 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
                 let v = iter.next().ok_or("--max-wall-regress needs a value")?;
                 wall_override = Some(parse_pct(v)?);
             }
-            "--wall-floor-us" => {
-                let v = iter.next().ok_or("--wall-floor-us needs a value")?;
-                config.wall_floor_us = v
-                    .parse()
-                    .map_err(|e| format!("bad --wall-floor-us {v:?}: {e}"))?;
-            }
-            "--wall-z" => {
-                let v = iter.next().ok_or("--wall-z needs a value")?;
-                config.wall_z = v.parse().map_err(|e| format!("bad --wall-z {v:?}: {e}"))?;
-                if !config.wall_z.is_finite() || config.wall_z < 0.0 {
-                    return Err(format!("bad --wall-z {v:?}"));
-                }
-            }
-            "--tp-floor" => {
-                let v = iter.next().ok_or("--tp-floor needs a value")?;
-                config.tp_floor = parse_pct(v)?;
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             path => paths.push(path.to_owned()),
         }
@@ -185,155 +172,70 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let [baseline_path, current_path] = paths.as_slice() else {
         return Err("usage: printed-trace diff <baseline> <current> [--max-regress PCT]".into());
     };
-    let baseline_text = read(baseline_path)?;
-    let current_text = read(current_path)?;
-    // kernel_stats and robust_stats inputs route to their own axes —
-    // and must come in pairs: gating a kernel or robustness suite
-    // against a flow baseline (or vice versa) compares incommensurable
-    // numbers. A file carrying records from more than one axis is
-    // itself malformed.
-    let axis_of = |path: &str, text: &str| -> Result<Axis, String> {
-        let kernel = text.contains(r#""kind":"kernel_stats""#);
-        let robust = text.contains(r#""kind":"robust_stats""#);
-        match (kernel, robust) {
-            (true, true) => Err(format!(
-                "{path}: mixes kernel_stats and robust_stats records; \
-                 each suite file carries exactly one axis"
-            )),
-            (true, false) => Ok(Axis::Kernel),
-            (false, true) => Ok(Axis::Robust),
-            (false, false) => Ok(Axis::Bench),
-        }
-    };
-    let baseline_axis = axis_of(baseline_path, &baseline_text)?;
-    let current_axis = axis_of(current_path, &current_text)?;
-    if baseline_axis != current_axis {
+    let baseline = (baseline_path.as_str(), read(baseline_path)?);
+    let current = (current_path.as_str(), read(current_path)?);
+    let baseline_kind = suite_kind(baseline.0, &baseline.1)?;
+    let current_kind = suite_kind(current.0, &current.1)?;
+    // Gating one axis against another compares incommensurable numbers.
+    let name = |kind: Option<&'static str>| kind.unwrap_or(TraceStats::AXIS.stats_kind);
+    if name(baseline_kind) != name(current_kind) {
         return Err(format!(
             "cannot mix axes: {baseline_path} is a {} suite but {current_path} is a {} suite",
-            baseline_axis.name(),
-            current_axis.name()
+            name(baseline_kind),
+            name(current_kind)
         ));
     }
-    if table && baseline_axis != Axis::Kernel {
-        return Err("--table renders kernel suites only (kernel_stats inputs)".into());
-    }
-    match baseline_axis {
-        Axis::Kernel => {
-            let baselines = KernelStats::from_text_multi(&baseline_text)
-                .map_err(|e| format!("{baseline_path}: {e}"))?;
-            let currents = KernelStats::from_text_multi(&current_text)
-                .map_err(|e| format!("{current_path}: {e}"))?;
-            let reports = diff_kernels(&baselines, &currents, config)?;
-            let mut passed = true;
-            if table {
-                print!("{}", render_kernel_table(&reports));
-                passed = reports.iter().all(|r| r.passed());
-                return Ok(if passed {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                });
-            }
-            for report in &reports {
-                print!("{}", report.render_text());
-                passed &= report.passed();
-            }
-            if reports.len() > 1 {
-                let failures = reports.iter().filter(|r| !r.passed()).count();
-                println!(
-                    "hotpath: {}/{} kernels passed{}",
-                    reports.len() - failures,
-                    reports.len(),
-                    if failures > 0 {
-                        format!(" ({failures} REGRESSED)")
-                    } else {
-                        String::new()
-                    }
-                );
-            }
-            return Ok(if passed {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            });
-        }
-        Axis::Robust => {
-            let baselines = RobustStats::from_text_multi(&baseline_text)
-                .map_err(|e| format!("{baseline_path}: {e}"))?;
-            let currents = RobustStats::from_text_multi(&current_text)
-                .map_err(|e| format!("{current_path}: {e}"))?;
-            let reports = diff_robust(&baselines, &currents, config)?;
-            let mut passed = true;
-            for (i, report) in reports.iter().enumerate() {
-                if i > 0 {
-                    println!();
-                }
-                print!("{}", report.render_text());
-                passed &= report.passed();
-            }
-            if reports.len() > 1 {
-                let failures = reports.iter().filter(|r| !r.passed()).count();
-                println!(
-                    "robustness: {}/{} benchmarks passed{}",
-                    reports.len() - failures,
-                    reports.len(),
-                    if failures > 0 {
-                        format!(" ({failures} REGRESSED)")
-                    } else {
-                        String::new()
-                    }
-                );
-            }
-            return Ok(if passed {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            });
-        }
-        Axis::Bench => {}
-    }
-    let (baselines, base_warnings) =
-        TraceStats::from_text_multi(&baseline_text).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let (currents, cur_warnings) =
-        TraceStats::from_text_multi(&current_text).map_err(|e| format!("{current_path}: {e}"))?;
-    for warning in base_warnings {
-        eprintln!("warning: {baseline_path}: {warning}");
-    }
-    for warning in cur_warnings {
-        eprintln!("warning: {current_path}: {warning}");
-    }
-    // Two bench_stats files are suites even when one holds a single
-    // record: require the strict dataset bijection, so a suite that
-    // silently lost benchmarks cannot pass by lookup. A trace-dump
-    // input, by contrast, *is* a single run and matches by lookup.
-    let is_suite = |text: &str| text.contains(r#""kind":"bench_stats""#);
-    let reports = if is_suite(&baseline_text) && is_suite(&current_text) {
+    // Two record files are suites even when one holds a single record:
+    // require the strict bijection, so a suite that silently lost records
+    // cannot pass by lookup. A trace-dump input, by contrast, *is* a
+    // single run and matches by lookup.
+    let suites = baseline_kind.is_some() && current_kind.is_some();
+    per_axis!(
+        baseline_kind,
+        gate(&baseline, &current, suites, config, table)
+    )
+}
+
+/// Gates one suite against another and prints the reports.
+fn gate<S: Stats>(
+    (baseline_path, baseline_text): &(&str, String),
+    (current_path, current_text): &(&str, String),
+    suites: bool,
+    config: DiffConfig,
+    table: bool,
+) -> Result<ExitCode, String> {
+    let baselines = read_suite::<S>(baseline_path, baseline_text)?;
+    let currents = read_suite::<S>(current_path, current_text)?;
+    let reports = if suites {
         diff_suites(&baselines, &currents, config)?
     } else {
         diff_many(&baselines, &currents, config)?
     };
-    let mut passed = true;
-    for (i, report) in reports.iter().enumerate() {
-        if i > 0 {
-            println!();
-        }
-        print!("{}", report.render_text());
-        passed &= report.passed();
-    }
-    if reports.len() > 1 {
-        let failures = reports.iter().filter(|r| !r.passed()).count();
-        println!(
-            "suite: {}/{} benchmarks passed{}",
-            reports.len() - failures,
-            reports.len(),
-            if failures > 0 {
-                format!(" ({failures} REGRESSED)")
-            } else {
-                String::new()
+    let failures = reports.iter().filter(|r| !r.passed()).count();
+    if table {
+        print!("{}", render_table(&reports));
+    } else {
+        for (i, report) in reports.iter().enumerate() {
+            if i > 0 {
+                println!();
             }
-        );
+            print!("{}", report.render_text());
+        }
+        if reports.len() > 1 {
+            let (label, noun) = S::AXIS.summary;
+            println!(
+                "{label}: {}/{} {noun} passed{}",
+                reports.len() - failures,
+                reports.len(),
+                if failures > 0 {
+                    format!(" ({failures} REGRESSED)")
+                } else {
+                    String::new()
+                }
+            );
+        }
     }
-    Ok(if passed {
+    Ok(if failures == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -426,47 +328,17 @@ fn cmd_history(args: &[String]) -> Result<ExitCode, String> {
             );
         };
         let stats_text = read(stats_path)?;
-        let mut appended = String::new();
-        // kernel_stats and robust_stats files append to their own axes;
-        // anything else (a bench_stats suite or a trace dump) to the
-        // benchmark axis.
-        let count = if stats_text.contains(r#""kind":"kernel_stats""#) {
-            let stats = KernelStats::from_text_multi(&stats_text)
-                .map_err(|e| format!("{stats_path}: {e}"))?;
-            for s in &stats {
-                appended.push_str(&KernelHistoryEntry::from_stats(s).to_json());
-                appended.push('\n');
-            }
-            stats.len()
-        } else if stats_text.contains(r#""kind":"robust_stats""#) {
-            let stats = RobustStats::from_text_multi(&stats_text)
-                .map_err(|e| format!("{stats_path}: {e}"))?;
-            for s in &stats {
-                appended.push_str(&RobustHistoryEntry::from_stats(s).to_json());
-                appended.push('\n');
-            }
-            stats.len()
-        } else {
-            let (stats, warnings) = TraceStats::from_text_multi(&stats_text)
-                .map_err(|e| format!("{stats_path}: {e}"))?;
-            for warning in warnings {
-                eprintln!("warning: {stats_path}: {warning}");
-            }
-            for s in &stats {
-                appended.push_str(&HistoryEntry::from_stats(s).to_json());
-                appended.push('\n');
-            }
-            stats.len()
-        };
+        let kind = suite_kind(stats_path, &stats_text)?;
+        let appended = per_axis!(kind, history_lines(stats_path, &stats_text))?;
         use std::io::Write;
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(history_path)
             .map_err(|e| format!("{history_path}: {e}"))?;
-        file.write_all(appended.as_bytes())
+        file.write_all(appended.concat().as_bytes())
             .map_err(|e| format!("{history_path}: {e}"))?;
-        eprintln!("appended {count} record(s) to {history_path}");
+        eprintln!("appended {} record(s) to {history_path}", appended.len());
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -487,32 +359,21 @@ fn cmd_history(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let path = path.ok_or("usage: printed-trace history <history.ndjson> [--dataset NAME]")?;
-    let text = read(&path)?;
-    let (entries, warnings) = parse_history(&text);
+    let (entries, warnings) = parse_history(&read(&path)?);
     for warning in warnings {
         eprintln!("warning: {path}: {warning}");
     }
-    // The kernel and robustness axes share the file; render each when
-    // present. A file holding only kernel or robustness records skips
-    // the benchmark table entirely.
-    let (kernel_entries, _) = parse_kernel_history(&text);
-    let (robust_entries, _) = parse_robust_history(&text);
-    if !entries.is_empty() || (kernel_entries.is_empty() && robust_entries.is_empty()) {
-        print!("{}", render_history(&entries, dataset.as_deref()));
-    }
-    if !kernel_entries.is_empty() {
-        print!(
-            "{}",
-            render_kernel_history(&kernel_entries, dataset.as_deref())
-        );
-    }
-    if !robust_entries.is_empty() {
-        print!(
-            "{}",
-            render_robust_history(&robust_entries, dataset.as_deref())
-        );
-    }
+    print!("{}", render_history(&entries, dataset.as_deref()));
     Ok(ExitCode::SUCCESS)
+}
+
+/// One history line per record of a stats file of kind `S`.
+fn history_lines<S: Stats>(path: &str, text: &str) -> Result<Vec<String>, String> {
+    let stats = read_suite::<S>(path, text)?;
+    Ok(stats
+        .iter()
+        .map(|s| HistoryEntry::from_stats(s).to_json() + "\n")
+        .collect())
 }
 
 fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {

@@ -1,44 +1,329 @@
 //! Regression gating: compare two runs and fail loudly when the flow got
 //! slower or the hardware got bigger.
 //!
-//! [`TraceStats`] condenses a trace to the handful of numbers worth
-//! guarding — wall time, Gini-evaluation count, trees trained, peak RSS,
-//! and the selected design's area/power/comparators — and serializes to a
-//! single JSON line, the record format of the committed `BENCH_all.ndjson`
-//! baseline suite. [`diff`] compares a baseline against a current run
-//! under a [`DiffConfig`] tolerance and returns the list of violations;
-//! [`diff_many`] pairs whole suites by dataset (and fails hard on missing
-//! counterparts); the `printed-trace diff` subcommand turns a non-empty
-//! violation list into exit code 1, which is what CI gates on.
+//! Three record kinds are gated, one per bench axis: [`TraceStats`]
+//! (`bench_stats`, the committed `BENCH_all.ndjson` suite), [`KernelStats`]
+//! (`kernel_stats`, `BENCH_hotpath.ndjson`) and [`RobustStats`]
+//! (`robust_stats`, `BENCH_robust.ndjson`). Each describes itself once
+//! through [`Stats`]: its [`Axis`] (record kinds, pairing key, history
+//! columns) and its list of [`Metric`]s, each tagged with one [`Rule`].
+//! Every axis then runs through the same code: [`Stats::parse_suite`]
+//! reads a suite, [`diff_suites`] pairs two suites under a strict key
+//! bijection (a record missing on either side is a hard `Err`),
+//! [`diff`] gates one pair into a [`DiffReport`], and the
+//! `printed-trace diff` subcommand turns a failed report into exit code
+//! 1, which is what CI gates on.
 //!
-//! ## Noise-calibrated wall gating
+//! ## Noise-calibrated gating
 //!
-//! Percentage tolerances are the wrong tool for wall time: a 5% gate on a
+//! Percentage tolerances are the wrong tool for timing: a 5% gate on a
 //! 2.5 ms run fires on 125 µs of scheduler jitter. Baselines produced by
-//! `bench_all` therefore carry a *calibration*: the median and MAD
+//! the bench drivers therefore carry a *calibration*: the median and MAD
 //! (median absolute deviation) of `k` repeat runs, plus the host
-//! environment class (`cpus/threads/build`). The gate then becomes
+//! environment class (`cpus/threads/build`). A [`Rule::Noisy`] metric
+//! then gates at
 //!
 //! ```text
-//! current.wall_us  >  median + max(wall_floor_us, wall_z × MAD)
+//! median ± max(floor, MAD_Z × MAD)
 //! ```
 //!
 //! — an absolute threshold derived from the baseline's own measured
-//! noise, with a floor so a near-zero MAD cannot make the gate
-//! hair-trigger. A baseline refuses to wall-gate a run from a different
-//! environment class (2-core debug vs 8-core release tells you nothing);
-//! deterministic metrics are still gated in that case. Uncalibrated
-//! baselines (the pre-suite single-shot format) fall back to the old
+//! noise, with a floor ([`WALL_FLOOR_US`] or [`REL_FLOOR`] of the median)
+//! so a near-zero MAD cannot make the gate hair-trigger. Host-timing
+//! gates refuse to judge a run from a different environment class (2-core
+//! debug vs 8-core release tells you nothing); deterministic metrics are
+//! still gated in that case. A bench wall time against an uncalibrated
+//! baseline (a single-shot trace or `snapshot`) falls back to the
 //! percentage check.
 //!
-//! Timing regresses only upward (faster is fine); hardware numbers are
+//! Timing regresses only one way (faster is fine); hardware numbers are
 //! checked for drift in *either* direction — the flow is deterministic,
 //! so an unexplained area change is a behavior change even if it shrinks.
 
 use printed_telemetry::{keys, FieldValue, FlowTrace, JsonLine};
 
+use crate::history::{col, Column, Fmt};
 use crate::json::{parse as parse_json, JsonValue};
 use crate::parse::parse_trace;
+
+/// Absolute floor of the calibrated wall gates, µs: the tolerated excess
+/// over the baseline median is never smaller than 50 ms.
+pub const WALL_FLOOR_US: u64 = 50_000;
+
+/// MAD multiplier of every calibrated gate. 8 MADs ≈ 5.4σ for Gaussian
+/// noise — far enough out that scheduler jitter essentially never fires
+/// it, close enough that a real 2× regression always does.
+pub const MAD_Z: f64 = 8.0;
+
+/// Relative floor of the kernel-throughput and trials-spent gates: the
+/// tolerated shift is never smaller than 25% of the baseline median.
+/// Isolated kernel drivers run for milliseconds, where cross-process load
+/// shifts of 10–20% are routine and invisible to an in-process MAD; the
+/// regressions worth gating are step changes (an algorithmic 2×), not
+/// jitter.
+pub const REL_FLOOR: f64 = 0.25;
+
+/// One bench axis: what its records are called, how they pair, how a
+/// suite summary names them, and which metrics its history keeps.
+#[derive(Debug, PartialEq)]
+pub struct Axis {
+    /// Kind of the baseline records, e.g. `"kernel_stats"`.
+    pub stats_kind: &'static str,
+    /// Kind of the history records, e.g. `"kernel_history"`.
+    pub history_kind: &'static str,
+    /// Record fields that pair a record with its counterpart, dataset
+    /// first.
+    pub key: &'static [&'static str],
+    /// Suite summary label and noun (`hotpath: 48/48 kernels passed`).
+    pub summary: (&'static str, &'static str),
+    /// Title prefix of this axis' history tables.
+    pub history_title: &'static str,
+    /// The metrics the history keeps, in record order.
+    pub history: &'static [Column],
+}
+
+/// Every gated axis, in the order history tables render.
+pub const AXES: [&Axis; 3] = [TraceStats::AXIS, KernelStats::AXIS, RobustStats::AXIS];
+
+/// How one metric is gated. The baseline's rule decides.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// Shown in the report, never gated.
+    Info,
+    /// Deterministic: must match exactly (1e-9 for floats), both ways.
+    Exact,
+    /// Relative drift past [`DiffConfig::max_regress`] in either direction.
+    Drift,
+    /// Relative rise past [`DiffConfig::max_regress`], or past
+    /// [`DiffConfig::max_wall_regress`] for an uncalibrated wall time.
+    Regress {
+        /// Use the wall tolerance.
+        wall: bool,
+    },
+    /// Calibrated: `median ± max(floor, MAD_Z × MAD)`.
+    Noisy(Noise),
+}
+
+/// A calibrated metric's baseline noise and gate policy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Noise {
+    /// Median across the calibration runs.
+    pub median: u64,
+    /// Median absolute deviation across the calibration runs.
+    pub mad: u64,
+    /// Calibration runs (0 = uncalibrated: the check is skipped).
+    pub runs: u64,
+    /// `true` when a rise is the regression, `false` when a fall is.
+    pub higher_is_worse: bool,
+    /// Smallest tolerated shift.
+    pub floor: Floor,
+    /// Refuse to judge a run from a different environment class.
+    pub env_refused: bool,
+}
+
+/// The floor of a calibrated gate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Floor {
+    /// An absolute amount, in the metric's unit.
+    Abs(u64),
+    /// A fraction of the baseline median.
+    Rel(f64),
+}
+
+impl Rule {
+    /// A wall-clock gate: a rise past `median + max(WALL_FLOOR_US,
+    /// MAD_Z × MAD)` regresses, refused across environment classes.
+    fn wall(median: u64, mad: u64, runs: u64) -> Self {
+        Rule::Noisy(Noise {
+            median,
+            mad,
+            runs,
+            higher_is_worse: true,
+            floor: Floor::Abs(WALL_FLOOR_US),
+            env_refused: true,
+        })
+    }
+}
+
+/// One number of a record, with its gate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Metric {
+    /// Record field name; also the row name of rendered reports.
+    pub key: &'static str,
+    /// Name used in violations and notes.
+    pub label: &'static str,
+    /// The value this record reports.
+    pub value: f64,
+    /// How the value is gated.
+    pub rule: Rule,
+}
+
+fn metric(key: &'static str, label: &'static str, value: f64, rule: Rule) -> Metric {
+    Metric {
+        key,
+        label,
+        value,
+        rule,
+    }
+}
+
+/// The provenance fields every record carries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Provenance<'a> {
+    /// Git revision that produced the record (empty when unknown).
+    pub git_sha: &'a str,
+    /// Logical CPUs of the producing host (0 = unknown).
+    pub cpus: u64,
+    /// Explicit sweep thread override (0 = auto).
+    pub threads: u64,
+    /// Build profile (`"release"`/`"debug"`, empty = unknown).
+    pub build: &'a str,
+    /// Unix timestamp (seconds) the record was produced (0 = unknown).
+    pub unix_secs: u64,
+}
+
+/// A gated record kind: everything [`diff`], [`diff_suites`] and the
+/// history need to know about it.
+pub trait Stats: Clone + Sized {
+    /// The axis this record kind belongs to.
+    const AXIS: &'static Axis;
+
+    /// Values of the [`Axis::key`] fields.
+    fn key(&self) -> Vec<&str>;
+
+    /// The provenance fields.
+    fn provenance(&self) -> Provenance<'_>;
+
+    /// Every gated or shown number, in report order. Both sides of a
+    /// diff list the same metrics in the same order.
+    fn metrics(&self) -> Vec<Metric>;
+
+    /// Serializes to one JSON line — the committed-baseline format.
+    fn to_json(&self) -> String;
+
+    /// Parses one record of this kind.
+    fn from_json(value: &JsonValue) -> Result<Self, String>;
+
+    /// A violation for runs that are not comparable at all, beyond a
+    /// differing key (none by default).
+    fn config_drift(&self, _current: &Self) -> Option<String> {
+        None
+    }
+
+    /// Reads a gate input: every record of this kind, plus parse
+    /// warnings. A text holding none is an error.
+    fn parse_suite(text: &str) -> Result<(Vec<Self>, Vec<String>), String> {
+        let stats = records::<Self>(text)?;
+        if stats.is_empty() {
+            return Err(format!("no {} records found", Self::AXIS.stats_kind));
+        }
+        Ok((stats, Vec::new()))
+    }
+
+    /// `{cpus}cpu/{threads|auto}/{build}` — the host-environment class of
+    /// the producing run (mirrors
+    /// [`printed_telemetry::RunManifest::env_class`]); `None` when neither
+    /// the CPU count nor the build profile is known.
+    fn env_class(&self) -> Option<String> {
+        let p = self.provenance();
+        if p.cpus == 0 && p.build.is_empty() {
+            return None;
+        }
+        let threads = if p.threads == 0 {
+            "auto".to_owned()
+        } else {
+            format!("{}t", p.threads)
+        };
+        Some(format!("{}cpu/{threads}/{}", p.cpus, p.build))
+    }
+}
+
+/// Every `*_stats` record of `text`, with its axis — the one parse loop
+/// behind [`suite_axis`] and [`Stats::parse_suite`]. Lines of other kinds
+/// and unparseable lines are skipped.
+fn stats_records(text: &str) -> impl Iterator<Item = (&'static Axis, JsonValue)> + '_ {
+    text.lines().filter_map(|line| {
+        let value = parse_json(line.trim()).ok()?;
+        let kind = value.get("kind")?.as_str()?;
+        let axis = AXES.into_iter().find(|axis| axis.stats_kind == kind)?;
+        Some((axis, value))
+    })
+}
+
+fn records<S: Stats>(text: &str) -> Result<Vec<S>, String> {
+    stats_records(text)
+        .filter(|(axis, _)| *axis == S::AXIS)
+        .map(|(_, value)| S::from_json(&value))
+        .collect()
+}
+
+/// The axis of a gate input: `None` when it holds no `*_stats` record (a
+/// trace dump), an error when it mixes records of more than one axis.
+pub fn suite_axis(text: &str) -> Result<Option<&'static Axis>, String> {
+    let mut axes: Vec<&'static Axis> = Vec::new();
+    for (axis, _) in stats_records(text) {
+        if !axes.contains(&axis) {
+            axes.push(axis);
+        }
+    }
+    match axes.as_slice() {
+        [] => Ok(None),
+        [axis] => Ok(Some(axis)),
+        _ => Err(format!(
+            "mixes {} records; each suite file carries exactly one axis",
+            axes.iter()
+                .map(|axis| axis.stats_kind)
+                .collect::<Vec<_>>()
+                .join(" and ")
+        )),
+    }
+}
+
+/// Reads the fields of one JSON record, defaulting absent ones.
+pub(crate) struct Fields<'a>(pub(crate) &'a JsonValue);
+
+impl Fields<'_> {
+    pub(crate) fn s(&self, key: &str) -> String {
+        self.0
+            .get(key)
+            .and_then(JsonValue::as_str)
+            .unwrap_or_default()
+            .to_owned()
+    }
+
+    pub(crate) fn u(&self, key: &str) -> u64 {
+        self.0.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
+    }
+
+    pub(crate) fn f(&self, key: &str) -> f64 {
+        self.0.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0)
+    }
+}
+
+/// `kind`, the key fields and `git_sha` — how every record line starts.
+fn json_head<S: Stats>(stats: &S) -> JsonLine {
+    let mut line = JsonLine::new().str("kind", S::AXIS.stats_kind);
+    for (name, value) in S::AXIS.key.iter().zip(stats.key()) {
+        line = line.str(name, value);
+    }
+    line.str("git_sha", stats.provenance().git_sha)
+}
+
+/// The environment fields (when known) and the timestamp (when set) —
+/// how every record line ends.
+fn json_tail<S: Stats>(stats: &S, mut line: JsonLine) -> String {
+    let p = stats.provenance();
+    if stats.env_class().is_some() {
+        line = line
+            .u64("cpus", p.cpus)
+            .u64("threads", p.threads)
+            .str("build", p.build);
+    }
+    if p.unix_secs > 0 {
+        line = line.u64("unix_secs", p.unix_secs);
+    }
+    line.finish()
+}
 
 /// The guarded numbers of one run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -147,49 +432,28 @@ impl TraceStats {
         self
     }
 
-    /// The host-environment class of the producing run (mirrors
-    /// [`printed_telemetry::RunManifest::env_class`]); `None` for
-    /// pre-environment baselines.
-    pub fn env_class(&self) -> Option<String> {
-        env_class_of(self.cpus, self.threads, &self.build)
-    }
-
-    /// Serializes to one JSON line — the committed-baseline format.
+    /// Serializes to one `{"kind":"bench_stats"}` JSON line.
     /// Calibration, environment, and RSS fields are emitted only when
     /// set, so single-shot stats keep the compact legacy shape.
     pub fn to_json(&self) -> String {
-        let mut line = JsonLine::new()
-            .str("kind", "bench_stats")
-            .str("dataset", &self.dataset)
-            .str("git_sha", &self.git_sha)
-            .raw(
-                "taus",
-                &format!(
-                    "[{}]",
-                    self.taus
-                        .iter()
-                        .map(|t| {
-                            let s = t.to_string();
-                            if s.contains(['.', 'e', 'E']) {
-                                s
-                            } else {
-                                format!("{s}.0")
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
-            )
+        let list = |items: Vec<String>| format!("[{}]", items.join(","));
+        let taus = self
+            .taus
+            .iter()
+            .map(|t| {
+                let s = t.to_string();
+                if s.contains(['.', 'e', 'E']) {
+                    s
+                } else {
+                    format!("{s}.0")
+                }
+            })
+            .collect();
+        let mut line = json_head(self)
+            .raw("taus", &list(taus))
             .raw(
                 "depths",
-                &format!(
-                    "[{}]",
-                    self.depths
-                        .iter()
-                        .map(u64::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
+                &list(self.depths.iter().map(u64::to_string).collect()),
             )
             .u64("wall_us", self.wall_us);
         if self.calib_runs > 0 {
@@ -208,16 +472,7 @@ impl TraceStats {
         if self.peak_rss_kb > 0 {
             line = line.u64("peak_rss_kb", self.peak_rss_kb);
         }
-        if self.env_class().is_some() {
-            line = line
-                .u64("cpus", self.cpus)
-                .u64("threads", self.threads)
-                .str("build", &self.build);
-        }
-        if self.unix_secs > 0 {
-            line = line.u64("unix_secs", self.unix_secs);
-        }
-        line.finish()
+        json_tail(self, line)
     }
 
     /// Parses either format a gate input can be: a `bench_stats` JSON
@@ -234,19 +489,7 @@ impl TraceStats {
     /// baseline suite (e.g. `BENCH_all.ndjson`), or the single condensed
     /// record of an NDJSON trace dump. Never returns an empty vector.
     pub fn from_text_multi(text: &str) -> Result<(Vec<Self>, Vec<String>), String> {
-        let mut stats = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(value) = parse_json(line) else {
-                continue;
-            };
-            if value.get("kind").and_then(JsonValue::as_str) == Some("bench_stats") {
-                stats.push(Self::from_stats_json(&value)?);
-            }
-        }
+        let stats = records::<Self>(text)?;
         if !stats.is_empty() {
             return Ok((stats, Vec::new()));
         }
@@ -259,17 +502,85 @@ impl TraceStats {
         }
         Ok((vec![Self::from_trace(&parsed.trace)], parsed.warnings))
     }
+}
 
-    fn from_stats_json(value: &JsonValue) -> Result<Self, String> {
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
+static BENCH_AXIS: Axis = Axis {
+    stats_kind: "bench_stats",
+    history_kind: "bench_history",
+    key: &["dataset"],
+    summary: ("suite", "benchmarks"),
+    history_title: "history",
+    history: &[
+        col("wall_us", "wall_us", 9, Fmt::Int).delta("Δwall"),
+        col("gini_evals", "gini_evals", 11, Fmt::Int),
+        col("trees", "", 0, Fmt::Int),
+        col("trees_shared", "", 0, Fmt::Int),
+        col("area_mm2", "area_mm2", 9, Fmt::Fixed(3)),
+        col("power_mw", "power_mw", 9, Fmt::Fixed(4)),
+        col("comparators", "cmp", 4, Fmt::Int),
+        col("peak_rss_kb", "rss_kb", 9, Fmt::Int)
+            .optional()
+            .delta("Δrss"),
+    ],
+};
+
+impl Stats for TraceStats {
+    const AXIS: &'static Axis = &BENCH_AXIS;
+
+    fn key(&self) -> Vec<&str> {
+        vec![&self.dataset]
+    }
+
+    fn provenance(&self) -> Provenance<'_> {
+        Provenance {
+            git_sha: &self.git_sha,
+            cpus: self.cpus,
+            threads: self.threads,
+            build: &self.build,
+            unix_secs: self.unix_secs,
+        }
+    }
+
+    fn metrics(&self) -> Vec<Metric> {
+        let wall = if self.calib_runs > 0 && self.wall_us_median > 0 {
+            Rule::wall(self.wall_us_median, self.wall_us_mad, self.calib_runs)
+        } else {
+            Rule::Regress { wall: true }
         };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let f = |key: &str| value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
+        let regress = Rule::Regress { wall: false };
+        vec![
+            metric("wall_us", "wall time (µs)", self.wall_us as f64, wall),
+            metric("gini_evals", "gini evals", self.gini_evals as f64, regress),
+            metric("trees", "trees", self.trees as f64, Rule::Info),
+            metric(
+                "trees_shared",
+                "shared trees",
+                self.trees_shared as f64,
+                Rule::Info,
+            ),
+            metric("area_mm2", "area (mm²)", self.area_mm2, Rule::Drift),
+            metric("power_mw", "power (mW)", self.power_mw, Rule::Drift),
+            metric(
+                "comparators",
+                "comparators",
+                self.comparators as f64,
+                Rule::Drift,
+            ),
+            metric(
+                "peak_rss_kb",
+                "peak RSS (kB)",
+                self.peak_rss_kb as f64,
+                Rule::Info,
+            ),
+        ]
+    }
+
+    fn to_json(&self) -> String {
+        TraceStats::to_json(self)
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let f = Fields(value);
         let mut taus = Vec::new();
         if let Some(arr) = value.get("taus").and_then(JsonValue::as_arr) {
             for v in arr {
@@ -283,44 +594,49 @@ impl TraceStats {
             }
         }
         Ok(Self {
-            dataset: s("dataset"),
-            git_sha: s("git_sha"),
+            dataset: f.s("dataset"),
+            git_sha: f.s("git_sha"),
             taus,
             depths,
-            wall_us: u("wall_us"),
+            wall_us: f.u("wall_us"),
             // Absent from single-shot / legacy baselines; 0 = uncalibrated.
-            wall_us_median: u("wall_us_median"),
-            wall_us_mad: u("wall_us_mad"),
-            calib_runs: u("calib_runs"),
-            gini_evals: u("gini_evals"),
-            trees: u("trees"),
+            wall_us_median: f.u("wall_us_median"),
+            wall_us_mad: f.u("wall_us_mad"),
+            calib_runs: f.u("calib_runs"),
+            gini_evals: f.u("gini_evals"),
+            trees: f.u("trees"),
             // Absent from pre-sharing baselines; defaults to 0 there.
-            trees_shared: u("trees_shared"),
-            area_mm2: f("area_mm2"),
-            power_mw: f("power_mw"),
-            comparators: u("comparators"),
-            peak_rss_kb: u("peak_rss_kb"),
-            cpus: u("cpus"),
-            threads: u("threads"),
-            build: s("build"),
-            unix_secs: u("unix_secs"),
+            trees_shared: f.u("trees_shared"),
+            area_mm2: f.f("area_mm2"),
+            power_mw: f.f("power_mw"),
+            comparators: f.u("comparators"),
+            peak_rss_kb: f.u("peak_rss_kb"),
+            cpus: f.u("cpus"),
+            threads: f.u("threads"),
+            build: f.s("build"),
+            unix_secs: f.u("unix_secs"),
         })
     }
-}
 
-/// `{cpus}cpu/{threads|auto}/{build}` — the shared environment-class
-/// format of [`TraceStats::env_class`] and [`KernelStats::env_class`].
-/// `None` when neither the CPU count nor the build profile is known.
-fn env_class_of(cpus: u64, threads: u64, build: &str) -> Option<String> {
-    if cpus == 0 && build.is_empty() {
-        return None;
+    /// Comparing different grids is apples to oranges.
+    fn config_drift(&self, current: &Self) -> Option<String> {
+        (!self.taus.is_empty()
+            && !current.taus.is_empty()
+            && (self.taus != current.taus || self.depths != current.depths))
+            .then(|| {
+                format!(
+                    "config drift: grid changed ({}τ×{}d → {}τ×{}d)",
+                    self.taus.len(),
+                    self.depths.len(),
+                    current.taus.len(),
+                    current.depths.len(),
+                )
+            })
     }
-    let threads = if threads == 0 {
-        "auto".to_owned()
-    } else {
-        format!("{threads}t")
-    };
-    Some(format!("{cpus}cpu/{threads}/{build}"))
+
+    fn parse_suite(text: &str) -> Result<(Vec<Self>, Vec<String>), String> {
+        Self::from_text_multi(text)
+    }
 }
 
 /// One kernel's guarded numbers on one benchmark — the record format of
@@ -375,310 +691,89 @@ impl KernelStats {
         self
     }
 
-    /// The host-environment class of the producing run (same format as
-    /// [`TraceStats::env_class`]); `None` for environment-free records.
-    pub fn env_class(&self) -> Option<String> {
-        env_class_of(self.cpus, self.threads, &self.build)
-    }
-
     /// Serializes to one `{"kind":"kernel_stats"}` JSON line.
     pub fn to_json(&self) -> String {
-        let mut line = JsonLine::new()
-            .str("kind", "kernel_stats")
-            .str("dataset", &self.dataset)
-            .str("kernel", &self.kernel)
-            .str("git_sha", &self.git_sha)
+        let line = json_head(self)
             .u64("calls", self.calls)
             .u64("items", self.items)
             .u64("tp_median", self.tp_median)
             .u64("tp_mad", self.tp_mad)
             .u64("calib_runs", self.calib_runs);
-        if self.env_class().is_some() {
-            line = line
-                .u64("cpus", self.cpus)
-                .u64("threads", self.threads)
-                .str("build", &self.build);
-        }
-        if self.unix_secs > 0 {
-            line = line.u64("unix_secs", self.unix_secs);
-        }
-        line.finish()
-    }
-
-    /// Parses every `kernel_stats` line of an NDJSON file. Errors when
-    /// the text holds none — a kernel gate input must be a kernel suite.
-    pub fn from_text_multi(text: &str) -> Result<Vec<Self>, String> {
-        let mut stats = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(value) = parse_json(line) else {
-                continue;
-            };
-            if value.get("kind").and_then(JsonValue::as_str) == Some("kernel_stats") {
-                stats.push(Self::from_json(&value));
-            }
-        }
-        if stats.is_empty() {
-            return Err("no kernel_stats records found".to_owned());
-        }
-        Ok(stats)
-    }
-
-    fn from_json(value: &JsonValue) -> Self {
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        Self {
-            dataset: s("dataset"),
-            kernel: s("kernel"),
-            git_sha: s("git_sha"),
-            calls: u("calls"),
-            items: u("items"),
-            tp_median: u("tp_median"),
-            tp_mad: u("tp_mad"),
-            calib_runs: u("calib_runs"),
-            cpus: u("cpus"),
-            threads: u("threads"),
-            build: s("build"),
-            unix_secs: u("unix_secs"),
-        }
+        json_tail(self, line)
     }
 }
 
-/// The outcome of gating one kernel on one benchmark.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelDiffReport {
-    /// The committed reference record.
-    pub baseline: KernelStats,
-    /// The fresh run's record.
-    pub current: KernelStats,
-    /// One line per gate failure (empty = pass).
-    pub violations: Vec<String>,
-    /// Non-fatal observations (refusals, improvements, skipped checks).
-    pub notes: Vec<String>,
-}
+static KERNEL_AXIS: Axis = Axis {
+    stats_kind: "kernel_stats",
+    history_kind: "kernel_history",
+    key: &["dataset", "kernel"],
+    summary: ("hotpath", "kernels"),
+    history_title: "kernel history",
+    history: &[
+        col("calls", "calls", 7, Fmt::Int),
+        col("items", "items", 9, Fmt::Int),
+        col("tp_median", "items/s", 14, Fmt::Int).delta("Δtp"),
+    ],
+};
 
-impl KernelDiffReport {
-    /// Whether the gate passes (no violations).
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+impl Stats for KernelStats {
+    const AXIS: &'static Axis = &KERNEL_AXIS;
+
+    fn key(&self) -> Vec<&str> {
+        vec![&self.dataset, &self.kernel]
     }
 
-    /// Renders the comparison as one block: header, notes, failures,
-    /// verdict.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "kernel {}/{}: calls {} → {}, items {} → {}, throughput {} → {} items/s\n",
-            self.baseline.dataset,
-            self.baseline.kernel,
-            self.baseline.calls,
-            self.current.calls,
-            self.baseline.items,
-            self.current.items,
-            self.baseline.tp_median,
-            self.current.tp_median,
-        );
-        for note in &self.notes {
-            out.push_str(&format!("  note: {note}\n"));
+    fn provenance(&self) -> Provenance<'_> {
+        Provenance {
+            git_sha: &self.git_sha,
+            cpus: self.cpus,
+            threads: self.threads,
+            build: &self.build,
+            unix_secs: self.unix_secs,
         }
-        for violation in &self.violations {
-            out.push_str(&format!("  FAIL: {violation}\n"));
-        }
-        out.push_str(if self.passed() {
-            "  verdict: PASS\n"
-        } else {
-            "  verdict: REGRESSION\n"
+    }
+
+    fn metrics(&self) -> Vec<Metric> {
+        let throughput = Rule::Noisy(Noise {
+            median: self.tp_median,
+            mad: self.tp_mad,
+            runs: self.calib_runs,
+            higher_is_worse: false,
+            floor: Floor::Rel(REL_FLOOR),
+            env_refused: true,
         });
-        out
+        vec![
+            metric("calls", "calls", self.calls as f64, Rule::Exact),
+            metric("items", "items", self.items as f64, Rule::Exact),
+            metric(
+                "tp_median",
+                "throughput (items/s)",
+                self.tp_median as f64,
+                throughput,
+            ),
+        ]
     }
-}
 
-/// Renders a kernel-gate suite as a GitHub-flavored markdown table —
-/// one row per `(dataset, kernel)` pair with the before/after
-/// throughputs, their relative delta, and the verdict. Meant for CI
-/// step summaries, where the plain-text blocks of
-/// [`KernelDiffReport::render_text`] are too noisy to scan.
-pub fn render_kernel_table(reports: &[KernelDiffReport]) -> String {
-    let mut out = String::from(
-        "| dataset | kernel | calls | items | baseline items/s | current items/s | Δ | verdict |\n\
-         |---|---|---:|---:|---:|---:|---:|---|\n",
-    );
-    for report in reports {
-        let delta = if report.baseline.tp_median == 0 {
-            "n/a".to_owned()
-        } else {
-            format!(
-                "{:+.1}%",
-                100.0 * (report.current.tp_median as f64 - report.baseline.tp_median as f64)
-                    / report.baseline.tp_median as f64
-            )
-        };
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
-            report.baseline.dataset,
-            report.baseline.kernel,
-            report.current.calls,
-            report.current.items,
-            report.baseline.tp_median,
-            report.current.tp_median,
-            delta,
-            if report.passed() {
-                "pass"
-            } else {
-                "REGRESSION"
-            },
-        ));
+    fn to_json(&self) -> String {
+        KernelStats::to_json(self)
     }
-    out
-}
 
-/// Gates a fresh kernel suite against a committed baseline suite,
-/// paired by `(dataset, kernel)` under a strict bijection — a kernel
-/// record present on one side and missing on the other is a hard `Err`
-/// (a kernel silently falling out of `bench_hot` is exactly the
-/// regression the gate exists to catch).
-///
-/// Per pair: `calls` and `items` are deterministic work counts and must
-/// match **exactly, in both directions** — a kernel suddenly doing more
-/// or less work is a behavior change either way. Throughput gates at
-///
-/// ```text
-/// current.tp_median  <  baseline.tp_median
-///                        − max(wall_z × tp_MAD, tp_floor × tp_median)
-/// ```
-///
-/// — the baseline's own measured noise sets the slack, floored at the
-/// relative [`DiffConfig::tp_floor`] so a near-zero MAD cannot make it
-/// hair-trigger.
-/// Like the wall gate, the throughput gate REFUSES to judge runs from a
-/// different environment class (the counts are still gated).
-pub fn diff_kernels(
-    baselines: &[KernelStats],
-    currents: &[KernelStats],
-    config: DiffConfig,
-) -> Result<Vec<KernelDiffReport>, String> {
-    if baselines.is_empty() || currents.is_empty() {
-        return Err("empty kernel stats set (nothing to compare)".to_owned());
-    }
-    let find = |suite: &[KernelStats], key: (&str, &str)| -> Option<KernelStats> {
-        suite
-            .iter()
-            .find(|s| (s.dataset.as_str(), s.kernel.as_str()) == key)
-            .cloned()
-    };
-    let mut missing = Vec::new();
-    for baseline in baselines {
-        if find(currents, (&baseline.dataset, &baseline.kernel)).is_none() {
-            missing.push(format!(
-                "baseline kernel {}/{} missing from the current run",
-                baseline.dataset, baseline.kernel
-            ));
-        }
-    }
-    for current in currents {
-        if find(baselines, (&current.dataset, &current.kernel)).is_none() {
-            missing.push(format!(
-                "current kernel {}/{} has no baseline record",
-                current.dataset, current.kernel
-            ));
-        }
-    }
-    if !missing.is_empty() {
-        return Err(missing.join("; "));
-    }
-    Ok(baselines
-        .iter()
-        .map(|baseline| {
-            let current =
-                find(currents, (&baseline.dataset, &baseline.kernel)).expect("bijection checked");
-            diff_kernel(baseline, &current, config)
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let f = Fields(value);
+        Ok(Self {
+            dataset: f.s("dataset"),
+            kernel: f.s("kernel"),
+            git_sha: f.s("git_sha"),
+            calls: f.u("calls"),
+            items: f.u("items"),
+            tp_median: f.u("tp_median"),
+            tp_mad: f.u("tp_mad"),
+            calib_runs: f.u("calib_runs"),
+            cpus: f.u("cpus"),
+            threads: f.u("threads"),
+            build: f.s("build"),
+            unix_secs: f.u("unix_secs"),
         })
-        .collect())
-}
-
-fn diff_kernel(
-    baseline: &KernelStats,
-    current: &KernelStats,
-    config: DiffConfig,
-) -> KernelDiffReport {
-    let mut violations = Vec::new();
-    let mut notes = Vec::new();
-
-    // Deterministic work counts: exact equality, blocking both ways.
-    if baseline.calls != current.calls {
-        violations.push(format!(
-            "calls changed: {} → {} (deterministic invocation count must match exactly)",
-            baseline.calls, current.calls
-        ));
-    }
-    if baseline.items != current.items {
-        violations.push(format!(
-            "items changed: {} → {} (deterministic work count must match exactly)",
-            baseline.items, current.items
-        ));
-    }
-
-    check_throughput(&mut violations, &mut notes, baseline, current, config);
-
-    KernelDiffReport {
-        baseline: baseline.clone(),
-        current: current.clone(),
-        violations,
-        notes,
-    }
-}
-
-/// The throughput gate: noise-calibrated absolute threshold below the
-/// baseline median, refused across environment classes.
-fn check_throughput(
-    violations: &mut Vec<String>,
-    notes: &mut Vec<String>,
-    baseline: &KernelStats,
-    current: &KernelStats,
-    config: DiffConfig,
-) {
-    if baseline.calib_runs == 0 || baseline.tp_median == 0 {
-        notes.push("throughput: no calibrated baseline, check skipped".to_owned());
-        return;
-    }
-    if let (Some(base_env), Some(cur_env)) = (baseline.env_class(), current.env_class()) {
-        if base_env != cur_env {
-            notes.push(format!(
-                "throughput gate REFUSED: environment class mismatch \
-                 (baseline {base_env}, current {cur_env}) — kernel work counts still gated"
-            ));
-            return;
-        }
-    }
-    let slack = ((config.wall_z * baseline.tp_mad as f64) as u64)
-        .max((config.tp_floor * baseline.tp_median as f64) as u64);
-    let threshold = baseline.tp_median.saturating_sub(slack);
-    if current.tp_median < threshold {
-        violations.push(format!(
-            "throughput regressed: {} items/s < {} items/s \
-             (median {} − max({:.0}×MAD {}, {:.0}% floor) from {} calibration runs)",
-            current.tp_median,
-            threshold,
-            baseline.tp_median,
-            config.wall_z,
-            baseline.tp_mad,
-            config.tp_floor * 100.0,
-            baseline.calib_runs,
-        ));
-    } else {
-        notes.push(format!(
-            "throughput {} items/s within calibrated threshold {} items/s \
-             ({} runs, median {}, MAD {})",
-            current.tp_median, threshold, baseline.calib_runs, baseline.tp_median, baseline.tp_mad,
-        ));
     }
 }
 
@@ -758,18 +853,9 @@ impl RobustStats {
         self
     }
 
-    /// The host-environment class of the producing run (same format as
-    /// [`TraceStats::env_class`]); `None` for environment-free records.
-    pub fn env_class(&self) -> Option<String> {
-        env_class_of(self.cpus, self.threads, &self.build)
-    }
-
     /// Serializes to one `{"kind":"robust_stats"}` JSON line.
     pub fn to_json(&self) -> String {
-        let mut line = JsonLine::new()
-            .str("kind", "robust_stats")
-            .str("dataset", &self.dataset)
-            .str("git_sha", &self.git_sha)
+        let line = json_head(self)
             .f64("tau", self.tau)
             .u64("depth", self.depth)
             .f64("nominal", self.nominal)
@@ -784,328 +870,134 @@ impl RobustStats {
             .u64("wall_us_median", self.wall_us_median)
             .u64("wall_us_mad", self.wall_us_mad)
             .u64("calib_runs", self.calib_runs);
-        if self.env_class().is_some() {
-            line = line
-                .u64("cpus", self.cpus)
-                .u64("threads", self.threads)
-                .str("build", &self.build);
-        }
-        if self.unix_secs > 0 {
-            line = line.u64("unix_secs", self.unix_secs);
-        }
-        line.finish()
-    }
-
-    /// Parses every `robust_stats` line of an NDJSON file. Errors when
-    /// the text holds none — a robustness gate input must be a
-    /// robustness suite.
-    pub fn from_text_multi(text: &str) -> Result<Vec<Self>, String> {
-        let mut stats = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(value) = parse_json(line) else {
-                continue;
-            };
-            if value.get("kind").and_then(JsonValue::as_str) == Some("robust_stats") {
-                stats.push(Self::from_json(&value));
-            }
-        }
-        if stats.is_empty() {
-            return Err("no robust_stats records found".to_owned());
-        }
-        Ok(stats)
-    }
-
-    fn from_json(value: &JsonValue) -> Self {
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let f = |key: &str| value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        Self {
-            dataset: s("dataset"),
-            git_sha: s("git_sha"),
-            tau: f("tau"),
-            depth: u("depth"),
-            nominal: f("nominal"),
-            robust_accuracy: f("robust_accuracy"),
-            yield_est: f("yield"),
-            worst_fault: f("worst_fault"),
-            droop_margin: f("droop_margin"),
-            pruned_points: u("pruned_points"),
-            trials_budget: u("trials_budget"),
-            trials_median: u("trials_median"),
-            trials_mad: u("trials_mad"),
-            wall_us_median: u("wall_us_median"),
-            wall_us_mad: u("wall_us_mad"),
-            calib_runs: u("calib_runs"),
-            cpus: u("cpus"),
-            threads: u("threads"),
-            build: s("build"),
-            unix_secs: u("unix_secs"),
-        }
+        json_tail(self, line)
     }
 }
 
-/// The outcome of gating one benchmark's robustness record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustDiffReport {
-    /// The committed reference record.
-    pub baseline: RobustStats,
-    /// The fresh run's record.
-    pub current: RobustStats,
-    /// One line per gate failure (empty = pass).
-    pub violations: Vec<String>,
-    /// Non-fatal observations (refusals, improvements, skipped checks).
-    pub notes: Vec<String>,
-}
+static ROBUST_AXIS: Axis = Axis {
+    stats_kind: "robust_stats",
+    history_kind: "robust_history",
+    key: &["dataset"],
+    summary: ("robustness", "benchmarks"),
+    history_title: "robust history",
+    history: &[
+        col("tau", "tau", 7, Fmt::Float),
+        col("depth", "depth", 5, Fmt::Int),
+        col("yield", "yield", 7, Fmt::Fixed(4)),
+        col("worst_fault", "worst_fault", 11, Fmt::Fixed(4)),
+        col("trials_median", "trials", 7, Fmt::Int).delta("Δtrials"),
+        col("trials_budget", "budget", 7, Fmt::Int),
+        col("pruned_points", "pruned", 7, Fmt::Int),
+    ],
+};
 
-impl RobustDiffReport {
-    /// Whether the gate passes (no violations).
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+impl Stats for RobustStats {
+    const AXIS: &'static Axis = &ROBUST_AXIS;
+
+    fn key(&self) -> Vec<&str> {
+        vec![&self.dataset]
     }
 
-    /// Renders the comparison as one block: header, notes, failures,
-    /// verdict.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "robust {}: τ={} d={} yield {:.4} → {:.4}, worst-fault {:.4} → {:.4}, \
-             trials {} → {} (budget {}), pruned {} → {}\n",
-            self.baseline.dataset,
-            self.baseline.tau,
-            self.baseline.depth,
-            self.baseline.yield_est,
-            self.current.yield_est,
-            self.baseline.worst_fault,
-            self.current.worst_fault,
-            self.baseline.trials_median,
-            self.current.trials_median,
-            self.current.trials_budget,
-            self.baseline.pruned_points,
-            self.current.pruned_points,
-        );
-        for note in &self.notes {
-            out.push_str(&format!("  note: {note}\n"));
+    fn provenance(&self) -> Provenance<'_> {
+        Provenance {
+            git_sha: &self.git_sha,
+            cpus: self.cpus,
+            threads: self.threads,
+            build: &self.build,
+            unix_secs: self.unix_secs,
         }
-        for violation in &self.violations {
-            out.push_str(&format!("  FAIL: {violation}\n"));
-        }
-        out.push_str(if self.passed() {
-            "  verdict: PASS\n"
-        } else {
-            "  verdict: REGRESSION\n"
+    }
+
+    fn metrics(&self) -> Vec<Metric> {
+        // Floats round-trip bit-exactly through the NDJSON encoding, so
+        // the 1e-9 slack of `Exact` is pure defense.
+        let trials = Rule::Noisy(Noise {
+            median: self.trials_median,
+            mad: self.trials_mad,
+            runs: self.calib_runs,
+            higher_is_worse: true,
+            floor: Floor::Rel(REL_FLOOR),
+            env_refused: false,
         });
-        out
+        let wall = Rule::wall(self.wall_us_median, self.wall_us_mad, self.calib_runs);
+        vec![
+            metric("tau", "selected τ", self.tau, Rule::Exact),
+            metric("depth", "selected depth", self.depth as f64, Rule::Exact),
+            metric("nominal", "nominal accuracy", self.nominal, Rule::Exact),
+            metric(
+                "robust_accuracy",
+                "robust accuracy",
+                self.robust_accuracy,
+                Rule::Exact,
+            ),
+            metric("yield", "yield", self.yield_est, Rule::Exact),
+            metric(
+                "worst_fault",
+                "worst-fault accuracy",
+                self.worst_fault,
+                Rule::Exact,
+            ),
+            metric(
+                "droop_margin",
+                "droop margin",
+                self.droop_margin,
+                Rule::Exact,
+            ),
+            metric(
+                "pruned_points",
+                "pruned points",
+                self.pruned_points as f64,
+                Rule::Exact,
+            ),
+            metric(
+                "trials_budget",
+                "trial budget",
+                self.trials_budget as f64,
+                Rule::Exact,
+            ),
+            metric(
+                "trials_median",
+                "trials spent",
+                self.trials_median as f64,
+                trials,
+            ),
+            metric(
+                "wall_us_median",
+                "campaign wall (µs)",
+                self.wall_us_median as f64,
+                wall,
+            ),
+        ]
     }
-}
 
-/// Gates a fresh robustness suite against a committed baseline suite,
-/// paired by dataset under a strict bijection — a benchmark present on
-/// one side and missing on the other is a hard `Err`, never a silent
-/// skip.
-///
-/// Per pair: the selected grid point (τ, depth) and every deterministic
-/// robustness metric — nominal, robust accuracy, yield, worst-fault,
-/// droop margin, pruned-point count, trial budget — must match
-/// **exactly, in both directions** (the campaign is seeded; any drift is
-/// a behavior change). Trials spent gate at
-///
-/// ```text
-/// current.trials_median  >  baseline.trials_median
-///                           + max(wall_z × trials_MAD,
-///                                 tp_floor × trials_median)
-/// ```
-///
-/// (spending *fewer* trials is an improvement note, not a violation),
-/// and campaign wall time gates like the bench axis — median plus
-/// `max(wall_floor_us, wall_z × MAD)`, refused across environment
-/// classes.
-pub fn diff_robust(
-    baselines: &[RobustStats],
-    currents: &[RobustStats],
-    config: DiffConfig,
-) -> Result<Vec<RobustDiffReport>, String> {
-    if baselines.is_empty() || currents.is_empty() {
-        return Err("empty robust stats set (nothing to compare)".to_owned());
+    fn to_json(&self) -> String {
+        RobustStats::to_json(self)
     }
-    let find = |suite: &[RobustStats], dataset: &str| -> Option<RobustStats> {
-        suite.iter().find(|s| s.dataset == dataset).cloned()
-    };
-    let mut missing = Vec::new();
-    for baseline in baselines {
-        if find(currents, &baseline.dataset).is_none() {
-            missing.push(format!(
-                "baseline dataset {:?} missing from the current run",
-                baseline.dataset
-            ));
-        }
-    }
-    for current in currents {
-        if find(baselines, &current.dataset).is_none() {
-            missing.push(format!(
-                "current dataset {:?} has no baseline record",
-                current.dataset
-            ));
-        }
-    }
-    if !missing.is_empty() {
-        return Err(missing.join("; "));
-    }
-    Ok(baselines
-        .iter()
-        .map(|baseline| {
-            let current = find(currents, &baseline.dataset).expect("bijection checked");
-            diff_robust_one(baseline, &current, config)
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let f = Fields(value);
+        Ok(Self {
+            dataset: f.s("dataset"),
+            git_sha: f.s("git_sha"),
+            tau: f.f("tau"),
+            depth: f.u("depth"),
+            nominal: f.f("nominal"),
+            robust_accuracy: f.f("robust_accuracy"),
+            yield_est: f.f("yield"),
+            worst_fault: f.f("worst_fault"),
+            droop_margin: f.f("droop_margin"),
+            pruned_points: f.u("pruned_points"),
+            trials_budget: f.u("trials_budget"),
+            trials_median: f.u("trials_median"),
+            trials_mad: f.u("trials_mad"),
+            wall_us_median: f.u("wall_us_median"),
+            wall_us_mad: f.u("wall_us_mad"),
+            calib_runs: f.u("calib_runs"),
+            cpus: f.u("cpus"),
+            threads: f.u("threads"),
+            build: f.s("build"),
+            unix_secs: f.u("unix_secs"),
         })
-        .collect())
-}
-
-fn diff_robust_one(
-    baseline: &RobustStats,
-    current: &RobustStats,
-    config: DiffConfig,
-) -> RobustDiffReport {
-    let mut violations = Vec::new();
-    let mut notes = Vec::new();
-
-    // Deterministic selection + metrics: exact equality, blocking both
-    // ways. Floats round-trip bit-exactly through the NDJSON encoding
-    // (shortest-representation formatting), so 1e-9 slack is pure
-    // defense, far below any behavioral change worth a grid point.
-    let mut exact_f = |metric: &str, base: f64, cur: f64| {
-        if (base - cur).abs() > 1e-9 {
-            violations.push(format!(
-                "{metric} changed: {base} → {cur} (deterministic campaign metric must match exactly)"
-            ));
-        }
-    };
-    exact_f("selected τ", baseline.tau, current.tau);
-    exact_f("nominal accuracy", baseline.nominal, current.nominal);
-    exact_f(
-        "robust accuracy",
-        baseline.robust_accuracy,
-        current.robust_accuracy,
-    );
-    exact_f("yield", baseline.yield_est, current.yield_est);
-    exact_f(
-        "worst-fault accuracy",
-        baseline.worst_fault,
-        current.worst_fault,
-    );
-    exact_f("droop margin", baseline.droop_margin, current.droop_margin);
-    let mut exact_u = |metric: &str, base: u64, cur: u64| {
-        if base != cur {
-            violations.push(format!(
-                "{metric} changed: {base} → {cur} (deterministic campaign metric must match exactly)"
-            ));
-        }
-    };
-    exact_u("selected depth", baseline.depth, current.depth);
-    exact_u(
-        "pruned points",
-        baseline.pruned_points,
-        current.pruned_points,
-    );
-    exact_u(
-        "trial budget",
-        baseline.trials_budget,
-        current.trials_budget,
-    );
-
-    check_trials_spent(&mut violations, &mut notes, baseline, current, config);
-    check_robust_wall(&mut violations, &mut notes, baseline, current, config);
-
-    RobustDiffReport {
-        baseline: baseline.clone(),
-        current: current.clone(),
-        violations,
-        notes,
-    }
-}
-
-/// The trials-spent gate: more trials than the baseline's own noise
-/// allows is an efficiency regression of the adaptive early exit; fewer
-/// is an improvement note.
-fn check_trials_spent(
-    violations: &mut Vec<String>,
-    notes: &mut Vec<String>,
-    baseline: &RobustStats,
-    current: &RobustStats,
-    config: DiffConfig,
-) {
-    if baseline.calib_runs == 0 || baseline.trials_median == 0 {
-        notes.push("trials spent: no calibrated baseline, check skipped".to_owned());
-        return;
-    }
-    let slack = ((config.wall_z * baseline.trials_mad as f64) as u64)
-        .max((config.tp_floor * baseline.trials_median as f64) as u64);
-    let threshold = baseline.trials_median + slack;
-    if current.trials_median > threshold {
-        violations.push(format!(
-            "trials spent regressed: {} > {} \
-             (median {} + max({:.0}×MAD {}, {:.0}% floor) from {} calibration runs)",
-            current.trials_median,
-            threshold,
-            baseline.trials_median,
-            config.wall_z,
-            baseline.trials_mad,
-            config.tp_floor * 100.0,
-            baseline.calib_runs,
-        ));
-    } else if current.trials_median < baseline.trials_median {
-        notes.push(format!(
-            "trials spent improved: {} → {} (budget {})",
-            baseline.trials_median, current.trials_median, current.trials_budget,
-        ));
-    }
-}
-
-/// The campaign wall gate — same shape as the bench axis: calibrated
-/// absolute threshold, refused across environment classes.
-fn check_robust_wall(
-    violations: &mut Vec<String>,
-    notes: &mut Vec<String>,
-    baseline: &RobustStats,
-    current: &RobustStats,
-    config: DiffConfig,
-) {
-    if baseline.calib_runs == 0 || baseline.wall_us_median == 0 {
-        notes.push("campaign wall: no calibrated baseline, check skipped".to_owned());
-        return;
-    }
-    if let (Some(base_env), Some(cur_env)) = (baseline.env_class(), current.env_class()) {
-        if base_env != cur_env {
-            notes.push(format!(
-                "campaign wall gate REFUSED: environment class mismatch \
-                 (baseline {base_env}, current {cur_env}) — deterministic metrics still gated"
-            ));
-            return;
-        }
-    }
-    let slack = config
-        .wall_floor_us
-        .max((config.wall_z * baseline.wall_us_mad as f64) as u64);
-    let threshold = baseline.wall_us_median + slack;
-    if current.wall_us_median > threshold {
-        violations.push(format!(
-            "campaign wall regressed: {} µs > {} µs \
-             (median {} + max({} floor, {:.0}×MAD {}) from {} calibration runs)",
-            current.wall_us_median,
-            threshold,
-            baseline.wall_us_median,
-            config.wall_floor_us,
-            config.wall_z,
-            baseline.wall_us_mad,
-            baseline.calib_runs,
-        ));
     }
 }
 
@@ -1128,33 +1020,17 @@ pub fn median_mad(samples: &[u64]) -> (u64, u64) {
     (med, median(&deviations))
 }
 
-/// Tolerances for [`diff`].
+/// Tolerances for [`diff`]. The calibrated gates take their parameters
+/// from [`WALL_FLOOR_US`], [`MAD_Z`] and [`REL_FLOOR`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiffConfig {
     /// Allowed relative drift for deterministic metrics (Gini evals,
-    /// trees, area, power, comparators). Default 5%.
+    /// area, power, comparators). Default 5%.
     pub max_regress: f64,
     /// Allowed relative wall-time regression for *uncalibrated*
     /// baselines. Defaults to `max_regress`; raise it independently on
     /// noisy shared CI runners.
     pub max_wall_regress: f64,
-    /// Absolute floor of the calibrated wall gate, µs: the tolerated
-    /// excess over the baseline median is never smaller than this, so a
-    /// near-zero measured MAD cannot make the gate hair-trigger.
-    /// Default 50 ms.
-    pub wall_floor_us: u64,
-    /// MAD multiplier of the calibrated wall gate. 8 MADs ≈ 5.4σ for
-    /// Gaussian noise — far enough out that scheduler jitter essentially
-    /// never fires it, close enough that a real 2× regression always
-    /// does.
-    pub wall_z: f64,
-    /// Relative floor of the calibrated kernel-throughput gate: the
-    /// tolerated shortfall below the baseline median is never smaller
-    /// than this fraction of it. Default 25% — isolated kernel drivers
-    /// run for milliseconds, where cross-process load shifts of 10–20%
-    /// are routine and invisible to an in-process MAD; the regressions
-    /// worth gating are step changes (an algorithmic 2×), not jitter.
-    pub tp_floor: f64,
 }
 
 impl Default for DiffConfig {
@@ -1162,41 +1038,26 @@ impl Default for DiffConfig {
         Self {
             max_regress: 0.05,
             max_wall_regress: 0.05,
-            wall_floor_us: 50_000,
-            wall_z: 8.0,
-            tp_floor: 0.25,
         }
     }
 }
 
-impl DiffConfig {
-    /// Sets both relative tolerances to the same fraction (calibrated
-    /// wall-gate parameters keep their defaults).
-    pub fn with_tolerance(fraction: f64) -> Self {
-        Self {
-            max_regress: fraction,
-            max_wall_regress: fraction,
-            ..Self::default()
-        }
-    }
-}
-
-/// The outcome of comparing a current run against a baseline.
+/// The outcome of comparing a current record against its baseline.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DiffReport {
-    /// The committed reference numbers.
-    pub baseline: TraceStats,
-    /// The fresh run's numbers.
-    pub current: TraceStats,
+pub struct DiffReport<S = TraceStats> {
+    /// The committed reference record.
+    pub baseline: S,
+    /// The fresh run's record.
+    pub current: S,
     /// Tolerances used.
     pub config: DiffConfig,
     /// One line per gate failure (empty = pass).
     pub violations: Vec<String>,
-    /// Non-fatal observations (improvements, skipped checks).
+    /// Non-fatal observations (improvements, refusals, skipped checks).
     pub notes: Vec<String>,
 }
 
-impl DiffReport {
+impl<S: Stats> DiffReport<S> {
     /// Whether the gate passes (no violations).
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
@@ -1204,62 +1065,24 @@ impl DiffReport {
 
     /// Renders the comparison as text: metric table, then verdict.
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = format!(
             "diff: {} (baseline {}) vs {} (current {})\n",
-            self.baseline.dataset,
-            short(&self.baseline.git_sha),
-            self.current.dataset,
-            short(&self.current.git_sha),
-        ));
-        let mut rows: Vec<(&str, f64, f64)> = vec![
-            (
-                "wall_us",
-                self.baseline.wall_us as f64,
-                self.current.wall_us as f64,
-            ),
-            (
-                "gini_evals",
-                self.baseline.gini_evals as f64,
-                self.current.gini_evals as f64,
-            ),
-            (
-                "trees",
-                self.baseline.trees as f64,
-                self.current.trees as f64,
-            ),
-            (
-                "trees_shared",
-                self.baseline.trees_shared as f64,
-                self.current.trees_shared as f64,
-            ),
-            ("area_mm2", self.baseline.area_mm2, self.current.area_mm2),
-            ("power_mw", self.baseline.power_mw, self.current.power_mw),
-            (
-                "comparators",
-                self.baseline.comparators as f64,
-                self.current.comparators as f64,
-            ),
-        ];
-        if self.baseline.peak_rss_kb > 0 || self.current.peak_rss_kb > 0 {
-            rows.push((
-                "peak_rss_kb",
-                self.baseline.peak_rss_kb as f64,
-                self.current.peak_rss_kb as f64,
-            ));
-        }
+            self.baseline.key().join("/"),
+            short(self.baseline.provenance().git_sha),
+            self.current.key().join("/"),
+            short(self.current.provenance().git_sha),
+        );
         out.push_str(&format!(
-            "  {:<12} {:>14} {:>14} {:>9}\n",
+            "  {:<15} {:>14} {:>14} {:>9}\n",
             "metric", "baseline", "current", "delta"
         ));
-        for &(name, base, cur) in &rows {
-            let delta = if base == 0.0 {
-                "n/a".to_owned()
-            } else {
-                format!("{:+.1}%", 100.0 * (cur - base) / base)
-            };
+        for (base, cur) in self.baseline.metrics().iter().zip(self.current.metrics()) {
             out.push_str(&format!(
-                "  {name:<12} {base:>14.4} {cur:>14.4} {delta:>9}\n"
+                "  {:<15} {:>14.4} {:>14.4} {:>9}\n",
+                base.key,
+                base.value,
+                cur.value,
+                relative_delta(base.value, cur.value)
             ));
         }
         for note in &self.notes {
@@ -1277,80 +1100,93 @@ impl DiffReport {
     }
 }
 
-fn short(sha: &str) -> &str {
-    let end = sha
-        .char_indices()
-        .nth(8)
-        .map(|(i, _)| i)
-        .unwrap_or(sha.len());
-    if sha.is_empty() {
-        "unknown"
+fn relative_delta(base: f64, cur: f64) -> String {
+    if base == 0.0 {
+        "n/a".to_owned()
     } else {
-        &sha[..end]
+        format!("{:+.1}%", 100.0 * (cur - base) / base)
     }
 }
 
+/// Renders a gated suite as one GitHub-flavored markdown table — a row
+/// per record, a column per metric (`baseline → current (Δ)` where they
+/// differ), and the verdict. Meant for CI step summaries, where the
+/// per-record text blocks are too noisy to scan.
+pub fn render_table<S: Stats>(reports: &[DiffReport<S>]) -> String {
+    let keys: Vec<&str> = reports
+        .first()
+        .map(|r| r.baseline.metrics().iter().map(|m| m.key).collect())
+        .unwrap_or_default();
+    let mut out = format!(
+        "| {} | {} | verdict |\n|---|{}---|\n",
+        S::AXIS.key.join("/"),
+        keys.join(" | "),
+        "---:|".repeat(keys.len()),
+    );
+    for report in reports {
+        let cells: Vec<String> = report
+            .baseline
+            .metrics()
+            .iter()
+            .zip(report.current.metrics())
+            .map(|(base, cur)| {
+                if base.value == cur.value {
+                    cur.value.to_string()
+                } else {
+                    let delta = relative_delta(base.value, cur.value);
+                    format!("{} → {} ({delta})", base.value, cur.value)
+                }
+            })
+            .collect();
+        out.push_str(&format!(
+            "| {} | {} | {} |\n",
+            report.baseline.key().join("/"),
+            cells.join(" | "),
+            if report.passed() {
+                "pass"
+            } else {
+                "REGRESSION"
+            },
+        ));
+    }
+    out
+}
+
+/// First eight characters of a git SHA, or `unknown` when empty.
+pub(crate) fn short(sha: &str) -> &str {
+    if sha.is_empty() {
+        return "unknown";
+    }
+    let end = sha.char_indices().nth(8).map_or(sha.len(), |(i, _)| i);
+    &sha[..end]
+}
+
 /// Compares `current` against `baseline` under `config`.
-pub fn diff(baseline: &TraceStats, current: &TraceStats, config: DiffConfig) -> DiffReport {
+pub fn diff<S: Stats>(baseline: &S, current: &S, config: DiffConfig) -> DiffReport<S> {
     let mut violations = Vec::new();
     let mut notes = Vec::new();
 
     // Comparing different datasets or grids is apples to oranges: fail
     // before any number is looked at.
-    if !baseline.dataset.is_empty()
-        && !current.dataset.is_empty()
-        && baseline.dataset != current.dataset
-    {
+    let (base_key, cur_key) = (baseline.key().join("/"), current.key().join("/"));
+    if !base_key.is_empty() && !cur_key.is_empty() && base_key != cur_key {
         violations.push(format!(
-            "config drift: baseline ran {:?}, current ran {:?}",
-            baseline.dataset, current.dataset
+            "config drift: baseline ran {base_key:?}, current ran {cur_key:?}"
         ));
     }
-    if !baseline.taus.is_empty()
-        && !current.taus.is_empty()
-        && (baseline.taus != current.taus || baseline.depths != current.depths)
-    {
-        violations.push(format!(
-            "config drift: grid changed ({}τ×{}d → {}τ×{}d)",
-            baseline.taus.len(),
-            baseline.depths.len(),
-            current.taus.len(),
-            current.depths.len(),
-        ));
+    violations.extend(baseline.config_drift(current));
+
+    let env_mismatch = match (baseline.env_class(), current.env_class()) {
+        (Some(base), Some(cur)) if base != cur => Some((base, cur)),
+        _ => None,
+    };
+    for (base, cur) in baseline.metrics().iter().zip(current.metrics()) {
+        match gate(base, cur.value, env_mismatch.as_ref(), config) {
+            Some(Ok(note)) => notes.push(note),
+            Some(Err(violation)) => violations.push(violation),
+            None => {}
+        }
     }
-
-    check_wall(&mut violations, &mut notes, baseline, current, config);
-    check_regress(
-        &mut violations,
-        &mut notes,
-        "gini evals",
-        baseline.gini_evals as f64,
-        current.gini_evals as f64,
-        config.max_regress,
-    );
-
-    // Hardware: drift in either direction is a behavior change.
-    check_drift(
-        &mut violations,
-        "area (mm²)",
-        baseline.area_mm2,
-        current.area_mm2,
-        config.max_regress,
-    );
-    check_drift(
-        &mut violations,
-        "power (mW)",
-        baseline.power_mw,
-        current.power_mw,
-        config.max_regress,
-    );
-    check_drift(
-        &mut violations,
-        "comparators",
-        baseline.comparators as f64,
-        current.comparators as f64,
-        config.max_regress,
-    );
 
     DiffReport {
         baseline: baseline.clone(),
@@ -1361,83 +1197,179 @@ pub fn diff(baseline: &TraceStats, current: &TraceStats, config: DiffConfig) -> 
     }
 }
 
-/// Pairs two suites of stats by dataset and diffs each pair. Both sides
+/// Applies `base.rule` to one metric: `Err(violation)`, `Ok(note)`, or
+/// nothing to say.
+fn gate(
+    base: &Metric,
+    current: f64,
+    env_mismatch: Option<&(String, String)>,
+    config: DiffConfig,
+) -> Option<Result<String, String>> {
+    let (label, baseline) = (base.label, base.value);
+    match base.rule {
+        Rule::Info => None,
+        Rule::Exact => ((baseline - current).abs() > 1e-9).then(|| {
+            Err(format!(
+                "{label} changed: {baseline} → {current} \
+                 (deterministic metric must match exactly)"
+            ))
+        }),
+        Rule::Drift if baseline == 0.0 => (current != 0.0)
+            .then(|| Err(format!("{label} appeared ({current:.4}) with no baseline"))),
+        Rule::Drift => {
+            let tolerance = config.max_regress;
+            let ratio = (current - baseline).abs() / baseline;
+            (ratio > tolerance).then(|| {
+                Err(format!(
+                    "{label} drifted {:.1}% ({baseline:.4} → {current:.4}, tolerance {:.1}%)",
+                    ratio * 100.0,
+                    tolerance * 100.0,
+                ))
+            })
+        }
+        Rule::Regress { .. } if baseline <= 0.0 => {
+            Some(Ok(format!("{label}: no baseline value, check skipped")))
+        }
+        Rule::Regress { wall } => {
+            let tolerance = if wall {
+                config.max_wall_regress
+            } else {
+                config.max_regress
+            };
+            let ratio = current / baseline - 1.0;
+            if ratio > tolerance {
+                Some(Err(format!(
+                    "{label} regressed {:.1}% ({baseline:.0} → {current:.0}, tolerance {:.1}%)",
+                    ratio * 100.0,
+                    tolerance * 100.0,
+                )))
+            } else {
+                (ratio < -tolerance).then(|| Ok(format!("{label} improved {:.1}%", -ratio * 100.0)))
+            }
+        }
+        Rule::Noisy(Noise { median, runs, .. }) if runs == 0 || median == 0 => Some(Ok(format!(
+            "{label}: no calibrated baseline, check skipped"
+        ))),
+        Rule::Noisy(noise) => Some(match env_mismatch {
+            Some((base_env, cur_env)) if noise.env_refused => Ok(format!(
+                "{label} gate REFUSED: environment class mismatch \
+                 (baseline {base_env}, current {cur_env}) — deterministic metrics still gated"
+            )),
+            _ => gate_noisy(label, &noise, current as u64),
+        }),
+    }
+}
+
+/// The calibrated gate proper: `median ± max(floor, MAD_Z × MAD)`.
+fn gate_noisy(label: &str, noise: &Noise, current: u64) -> Result<String, String> {
+    let Noise {
+        median, mad, runs, ..
+    } = *noise;
+    let (floor, floor_text) = match noise.floor {
+        Floor::Abs(amount) => (amount, format!("{amount} floor")),
+        Floor::Rel(fraction) => (
+            (fraction * median as f64) as u64,
+            format!("{:.0}% floor", fraction * 100.0),
+        ),
+    };
+    let slack = floor.max((MAD_Z * mad as f64) as u64);
+    let (threshold, regressed, improved, cmp, sign) = if noise.higher_is_worse {
+        let threshold = median + slack;
+        (threshold, current > threshold, current < median, '>', '+')
+    } else {
+        let threshold = median.saturating_sub(slack);
+        (threshold, current < threshold, current > median, '<', '−')
+    };
+    if regressed {
+        Err(format!(
+            "{label} regressed: {current} {cmp} {threshold} \
+             (median {median} {sign} max({floor_text}, {MAD_Z:.0}×MAD {mad}) \
+             from {runs} calibration runs)"
+        ))
+    } else if improved {
+        Ok(format!(
+            "{label} improved: {median} → {current} (calibrated threshold {threshold})"
+        ))
+    } else {
+        Ok(format!(
+            "{label} {current} within calibrated threshold {threshold} \
+             ({runs} runs, median {median}, MAD {mad})"
+        ))
+    }
+}
+
+/// Pairs two sets of records by key and diffs each pair. Both sides
 /// single → paired directly (same as [`diff`]). Baseline is a suite and
 /// current is a single run (or vice versa) → the single run is matched
-/// against its dataset's counterpart in the suite. Both sides suites →
-/// an exact bijection is required: a dataset present on one side and
-/// missing on the other is a hard `Err`, never a silent skip — a
-/// benchmark falling out of the suite is exactly the kind of regression
-/// the gate exists to catch.
-pub fn diff_many(
-    baselines: &[TraceStats],
-    currents: &[TraceStats],
+/// against its counterpart in the suite. Anything else → the strict
+/// bijection of [`diff_suites`].
+pub fn diff_many<S: Stats>(
+    baselines: &[S],
+    currents: &[S],
     config: DiffConfig,
-) -> Result<Vec<DiffReport>, String> {
-    let find = |suite: &[TraceStats], dataset: &str| -> Option<TraceStats> {
-        suite.iter().find(|s| s.dataset == dataset).cloned()
+) -> Result<Vec<DiffReport<S>>, String> {
+    let name = S::AXIS.key.join("/");
+    let list = |suite: &[S]| {
+        suite
+            .iter()
+            .map(|s| s.key().join("/"))
+            .collect::<Vec<_>>()
+            .join(", ")
     };
-    match (baselines.len(), currents.len()) {
-        (0, _) | (_, 0) => Err("empty stats set (nothing to compare)".to_owned()),
-        (1, 1) => Ok(vec![diff(&baselines[0], &currents[0], config)]),
-        (_, 1) => {
-            let current = &currents[0];
-            let baseline = find(baselines, &current.dataset).ok_or_else(|| {
+    match (baselines, currents) {
+        ([baseline], [current]) => Ok(vec![diff(baseline, current, config)]),
+        (_, [current]) => {
+            let baseline = find(baselines, current).ok_or_else(|| {
                 format!(
-                    "dataset {:?} has no baseline record (baseline has: {})",
-                    current.dataset,
-                    dataset_list(baselines)
+                    "{name} {:?} has no baseline record (baseline has: {})",
+                    current.key().join("/"),
+                    list(baselines)
                 )
             })?;
-            Ok(vec![diff(&baseline, current, config)])
+            Ok(vec![diff(baseline, current, config)])
         }
-        (1, _) => {
-            let baseline = &baselines[0];
-            let current = find(currents, &baseline.dataset).ok_or_else(|| {
+        ([baseline], _) => {
+            let current = find(currents, baseline).ok_or_else(|| {
                 format!(
-                    "baseline dataset {:?} missing from the current run (current has: {})",
-                    baseline.dataset,
-                    dataset_list(currents)
+                    "baseline {name} {:?} missing from the current run (current has: {})",
+                    baseline.key().join("/"),
+                    list(currents)
                 )
             })?;
-            Ok(vec![diff(baseline, &current, config)])
+            Ok(vec![diff(baseline, current, config)])
         }
         _ => diff_suites(baselines, currents, config),
     }
 }
 
-/// Diffs two whole suites under a strict dataset bijection, whatever the
-/// counts: every baseline dataset must appear in the current suite and
-/// vice versa, or the comparison is a hard `Err`. Use this (the
-/// `printed-trace diff` CLI does, whenever both inputs are `bench_stats`
-/// files) so a suite that silently lost benchmarks — e.g. `bench_all`
-/// crashed after the first dataset — cannot pass the gate by lookup.
-pub fn diff_suites(
-    baselines: &[TraceStats],
-    currents: &[TraceStats],
+/// Diffs two whole suites under a strict key bijection, whatever the
+/// counts: every baseline record must have its counterpart in the
+/// current suite and vice versa, or the comparison is a hard `Err` — a
+/// record falling out of a suite (a crashed driver, a dropped kernel) is
+/// exactly the kind of regression the gate exists to catch.
+pub fn diff_suites<S: Stats>(
+    baselines: &[S],
+    currents: &[S],
     config: DiffConfig,
-) -> Result<Vec<DiffReport>, String> {
-    let find = |suite: &[TraceStats], dataset: &str| -> Option<TraceStats> {
-        suite.iter().find(|s| s.dataset == dataset).cloned()
-    };
+) -> Result<Vec<DiffReport<S>>, String> {
     if baselines.is_empty() || currents.is_empty() {
         return Err("empty stats set (nothing to compare)".to_owned());
     }
+    let name = S::AXIS.key.join("/");
     let mut missing = Vec::new();
-    for baseline in baselines {
-        if find(currents, &baseline.dataset).is_none() {
-            missing.push(format!(
-                "baseline dataset {:?} missing from the current run",
-                baseline.dataset
-            ));
-        }
-    }
-    for current in currents {
-        if find(baselines, &current.dataset).is_none() {
-            missing.push(format!(
-                "current dataset {:?} has no baseline record",
-                current.dataset
-            ));
+    for (side, suite, other, fate) in [
+        (
+            "baseline",
+            baselines,
+            currents,
+            "missing from the current run",
+        ),
+        ("current", currents, baselines, "has no baseline record"),
+    ] {
+        for record in suite {
+            if find(other, record).is_none() {
+                missing.push(format!("{side} {name} {:?} {fate}", record.key().join("/")));
+            }
         }
     }
     if !missing.is_empty() {
@@ -1446,132 +1378,26 @@ pub fn diff_suites(
     Ok(baselines
         .iter()
         .map(|baseline| {
-            let current = find(currents, &baseline.dataset).expect("bijection checked above");
-            diff(baseline, &current, config)
+            let current = find(currents, baseline).expect("bijection checked above");
+            diff(baseline, current, config)
         })
         .collect())
 }
 
-fn dataset_list(suite: &[TraceStats]) -> String {
-    let names: Vec<&str> = suite.iter().map(|s| s.dataset.as_str()).collect();
-    names.join(", ")
-}
-
-/// The wall-time gate: noise-calibrated absolute threshold when the
-/// baseline carries a calibration (and the environment classes agree),
-/// legacy percentage check otherwise.
-fn check_wall(
-    violations: &mut Vec<String>,
-    notes: &mut Vec<String>,
-    baseline: &TraceStats,
-    current: &TraceStats,
-    config: DiffConfig,
-) {
-    if baseline.calib_runs == 0 || baseline.wall_us_median == 0 {
-        check_regress(
-            violations,
-            notes,
-            "wall time (µs)",
-            baseline.wall_us as f64,
-            current.wall_us as f64,
-            config.max_wall_regress,
-        );
-        return;
-    }
-    if let (Some(base_env), Some(cur_env)) = (baseline.env_class(), current.env_class()) {
-        if base_env != cur_env {
-            notes.push(format!(
-                "wall-time gate REFUSED: environment class mismatch \
-                 (baseline {base_env}, current {cur_env}) — deterministic metrics still gated"
-            ));
-            return;
-        }
-    }
-    let slack = config
-        .wall_floor_us
-        .max((config.wall_z * baseline.wall_us_mad as f64) as u64);
-    let threshold = baseline.wall_us_median + slack;
-    if current.wall_us > threshold {
-        violations.push(format!(
-            "wall time regressed: {} µs > {} µs \
-             (median {} + max({} floor, {:.0}×MAD {}) from {} calibration runs)",
-            current.wall_us,
-            threshold,
-            baseline.wall_us_median,
-            config.wall_floor_us,
-            config.wall_z,
-            baseline.wall_us_mad,
-            baseline.calib_runs,
-        ));
-    } else {
-        notes.push(format!(
-            "wall time {} µs within calibrated threshold {} µs \
-             ({} runs, median {}, MAD {})",
-            current.wall_us,
-            threshold,
-            baseline.calib_runs,
-            baseline.wall_us_median,
-            baseline.wall_us_mad,
-        ));
-    }
-}
-
-fn check_regress(
-    violations: &mut Vec<String>,
-    notes: &mut Vec<String>,
-    metric: &str,
-    baseline: f64,
-    current: f64,
-    tolerance: f64,
-) {
-    if baseline <= 0.0 {
-        notes.push(format!("{metric}: no baseline value, check skipped"));
-        return;
-    }
-    let ratio = current / baseline - 1.0;
-    if ratio > tolerance {
-        violations.push(format!(
-            "{metric} regressed {:.1}% ({baseline:.0} → {current:.0}, tolerance {:.1}%)",
-            ratio * 100.0,
-            tolerance * 100.0,
-        ));
-    } else if ratio < -tolerance {
-        notes.push(format!("{metric} improved {:.1}%", -ratio * 100.0));
-    }
-}
-
-fn check_drift(
-    violations: &mut Vec<String>,
-    metric: &str,
-    baseline: f64,
-    current: f64,
-    tolerance: f64,
-) {
-    if baseline == 0.0 && current == 0.0 {
-        return;
-    }
-    if baseline == 0.0 {
-        violations.push(format!("{metric} appeared ({current:.4}) with no baseline"));
-        return;
-    }
-    let ratio = (current - baseline).abs() / baseline;
-    if ratio > tolerance {
-        violations.push(format!(
-            "{metric} drifted {:.1}% ({baseline:.4} → {current:.4}, tolerance {:.1}%)",
-            ratio * 100.0,
-            tolerance * 100.0,
-        ));
-    }
+fn find<'a, S: Stats>(suite: &'a [S], like: &S) -> Option<&'a S> {
+    suite.iter().find(|s| s.key() == like.key())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const SHA: &str = "0123456789abcdef0123456789abcdef01234567";
+
     fn stats() -> TraceStats {
         TraceStats {
             dataset: "Seeds".into(),
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
+            git_sha: SHA.into(),
             taus: vec![0.0, 0.005],
             depths: vec![2, 4],
             wall_us: 100_000,
@@ -1596,77 +1422,398 @@ mod tests {
         s
     }
 
-    #[test]
-    fn identical_runs_pass() {
-        let s = stats();
-        let report = diff(&s, &s, DiffConfig::default());
+    fn kernel(dataset: &str, name: &str) -> KernelStats {
+        KernelStats {
+            dataset: dataset.into(),
+            kernel: name.into(),
+            git_sha: SHA.into(),
+            calls: 7,
+            items: 1_610,
+            cpus: 8,
+            threads: 0,
+            build: "release".into(),
+            unix_secs: 1_754_000_000,
+            ..KernelStats::default()
+        }
+        // Median 1_000_000, deviations [20k, 10k, 0, 10k, 30k] → MAD 10k.
+        .with_calibration(&[980_000, 990_000, 1_000_000, 1_010_000, 1_030_000])
+    }
+
+    fn robust(dataset: &str) -> RobustStats {
+        RobustStats {
+            dataset: dataset.into(),
+            git_sha: SHA.into(),
+            tau: 0.01,
+            depth: 4,
+            nominal: 0.9143,
+            robust_accuracy: 0.9021,
+            yield_est: 0.96,
+            worst_fault: 0.55,
+            droop_margin: 0.32,
+            pruned_points: 3,
+            trials_budget: 384,
+            cpus: 8,
+            threads: 0,
+            build: "release".into(),
+            unix_secs: 1_754_000_000,
+            ..RobustStats::default()
+        }
+        // trials median 120 MAD 0; wall median 80_000 MAD 1_000.
+        .with_calibration(&[120, 120, 120], &[79_000, 80_000, 81_000])
+    }
+
+    fn check<S: Stats>(base: &S, cur: &S) -> DiffReport<S> {
+        diff(base, cur, DiffConfig::default())
+    }
+
+    /// Asserts `cur` passes against `base` and returns the report.
+    fn passes<S: Stats + std::fmt::Debug>(base: &S, cur: &S) -> DiffReport<S> {
+        let report = check(base, cur);
         assert!(report.passed(), "{:?}", report.violations);
         assert!(report.render_text().contains("verdict: PASS"));
+        report
     }
 
-    #[test]
-    fn wall_regression_past_tolerance_fails() {
-        let base = stats();
-        let mut cur = stats();
-        cur.wall_us = 106_000; // +6% > 5%
-        let report = diff(&base, &cur, DiffConfig::default());
-        assert!(!report.passed());
+    /// Asserts `cur` fails against `base` with `needle` in the first
+    /// violation and returns the report.
+    fn fails<S: Stats + std::fmt::Debug>(base: &S, cur: &S, needle: &str) -> DiffReport<S> {
+        let report = check(base, cur);
+        assert!(!report.passed(), "{needle}: {cur:?} should violate");
         assert!(
-            report.violations[0].contains("wall time"),
-            "{:?}",
+            report.violations[0].contains(needle),
+            "{needle}: {:?}",
             report.violations
         );
-        // Within tolerance passes.
-        cur.wall_us = 104_000;
-        assert!(diff(&base, &cur, DiffConfig::default()).passed());
+        assert!(report.render_text().contains("verdict: REGRESSION"));
+        report
+    }
+
+    fn with<S: Clone>(base: &S, edit: impl FnOnce(&mut S)) -> S {
+        let mut s = base.clone();
+        edit(&mut s);
+        s
     }
 
     #[test]
-    fn faster_is_a_note_not_a_violation() {
-        let base = stats();
-        let mut cur = stats();
-        cur.wall_us = 50_000;
-        let report = diff(&base, &cur, DiffConfig::default());
-        assert!(report.passed());
-        assert!(report.notes.iter().any(|n| n.contains("improved")));
+    fn identical_records_pass_on_every_axis() {
+        passes(&stats(), &stats());
+        passes(&calibrated(), &calibrated());
+        passes(&kernel("Seeds", "gini_scan"), &kernel("Seeds", "gini_scan"));
+        passes(&robust("Seeds"), &robust("Seeds"));
     }
 
     #[test]
-    fn hardware_drift_fails_in_both_directions() {
-        let base = stats();
+    fn deterministic_metrics_block_in_both_directions() {
+        // Hardware drifts past 5% either way; the rest must match exactly
+        // (a yield that *improves* is still a behavior change).
+        let b = stats();
         for area in [11.0, 14.0] {
-            let mut cur = stats();
-            cur.area_mm2 = area;
-            let report = diff(&base, &cur, DiffConfig::default());
-            assert!(!report.passed(), "area {area} should violate");
-            assert!(report.violations[0].contains("area"));
+            fails(&b, &with(&b, |s| s.area_mm2 = area), "area");
         }
+        let k = kernel("Seeds", "gini_scan");
+        for calls in [6, 8] {
+            fails(&k, &with(&k, |s| s.calls = calls), "calls changed");
+        }
+        for items in [1_609, 1_611] {
+            fails(&k, &with(&k, |s| s.items = items), "items changed");
+        }
+        let r = robust("Seeds");
+        for yield_est in [0.90, 0.99] {
+            fails(&r, &with(&r, |s| s.yield_est = yield_est), "yield changed");
+        }
+        fails(&r, &with(&r, |s| s.depth = 2), "selected depth");
+        fails(&r, &with(&r, |s| s.pruned_points = 0), "pruned points");
+        // Floats get 1e-9 of slack, no more.
+        passes(&r, &with(&r, |s| s.tau += 1e-12));
+        fails(&r, &with(&r, |s| s.tau += 1e-6), "selected τ");
     }
 
     #[test]
-    fn dataset_and_grid_drift_are_violations() {
-        let base = stats();
-        let mut cur = stats();
-        cur.dataset = "Vertebral".into();
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
-        let mut cur = stats();
-        cur.depths = vec![2, 4, 6];
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
+    fn noisy_gates_flip_exactly_at_their_thresholds() {
+        /// `at` passes, `past` fails naming the threshold, `better`
+        /// passes with an improvement note.
+        fn case<S: Stats + std::fmt::Debug>(
+            base: S,
+            set: impl Fn(&mut S, u64),
+            (at, past, better): (u64, u64, u64),
+            label: &str,
+        ) {
+            passes(&base, &with(&base, |s| set(s, at)));
+            let report = fails(&base, &with(&base, |s| set(s, past)), label);
+            assert!(
+                report.violations[0].contains(&format!(" {at} (median ")),
+                "{:?}",
+                report.violations
+            );
+            assert!(report.violations[0].contains("calibration runs"));
+            let report = passes(&base, &with(&base, |s| set(s, better)));
+            assert!(report.notes.iter().any(|n| n.contains("improved")));
+        }
+        // Bench wall: 100_000 + max(50_000 floor, 8×1_000) = 150_000.
+        let wall = |s: &mut TraceStats, v| s.wall_us = v;
+        case(calibrated(), wall, (150_000, 150_001, 90_000), "wall time");
+        // MAD above the floor: 100_000 + 8×20_000 = 260_000.
+        let noisy = with(&calibrated(), |s| s.wall_us_mad = 20_000);
+        case(noisy, wall, (260_000, 260_001, 90_000), "wall time");
+        // Throughput, downward: 1_000_000 − max(8×40_000, 25% = 250_000).
+        let tp = |s: &mut KernelStats, v| s.tp_median = v;
+        let noisy = with(&kernel("Seeds", "gini_scan"), |s| s.tp_mad = 40_000);
+        case(noisy, tp, (680_000, 679_999, 2_000_000), "throughput");
+        // The relative floor dominates a tiny MAD: 1_000_000 − 250_000.
+        let quiet = with(&kernel("Seeds", "gini_scan"), |s| s.tp_mad = 0);
+        case(quiet, tp, (750_000, 749_999, 2_000_000), "throughput");
+        // Trials spent, upward: 120 + max(8×0, 25%×120 = 30) = 150.
+        let trials = |s: &mut RobustStats, v| s.trials_median = v;
+        case(robust("Seeds"), trials, (150, 151, 60), "trials spent");
+        // Campaign wall: 80_000 + max(50_000 floor, 8×1_000) = 130_000.
+        let wall = |s: &mut RobustStats, v| s.wall_us_median = v;
+        case(
+            robust("Seeds"),
+            wall,
+            (130_000, 130_001, 70_000),
+            "campaign wall",
+        );
+    }
+
+    #[test]
+    fn env_mismatch_refuses_host_timing_but_keeps_deterministic_gates() {
+        /// `slow` is unjudgeable across environments; `drift` still fails.
+        fn case<S: Stats + std::fmt::Debug>(
+            base: S,
+            to_other_env: impl Fn(&mut S),
+            slow: impl Fn(&mut S),
+            drift: impl Fn(&mut S),
+            needle: &str,
+        ) {
+            let other = with(&base, to_other_env);
+            let report = passes(&base, &with(&other, &slow));
+            assert!(
+                report.notes.iter().any(|n| n.contains("REFUSED")),
+                "{:?}",
+                report.notes
+            );
+            fails(&base, &with(&with(&other, slow), drift), needle);
+        }
+        case(
+            calibrated(),
+            |s| s.cpus = 2,
+            |s| s.wall_us = 10_000_000,
+            |s| s.area_mm2 = 20.0,
+            "area",
+        );
+        case(
+            kernel("Seeds", "gini_scan"),
+            |s| s.cpus = 2,
+            |s| s.tp_median = 1,
+            |s| s.items = 999,
+            "items changed",
+        );
+        case(
+            robust("Seeds"),
+            |s| s.cpus = 2,
+            |s| s.wall_us_median = 10_000_000,
+            |s| s.yield_est = 0.5,
+            "yield changed",
+        );
+        // Trials spent is deterministic per seed: never refused.
+        let other = with(&robust("Seeds"), |s| s.cpus = 2);
+        fails(
+            &robust("Seeds"),
+            &with(&other, |s| s.trials_median = 151),
+            "trials spent",
+        );
+    }
+
+    #[test]
+    fn uncalibrated_baselines_skip_timing_or_fall_back_to_percentage() {
+        let k = with(&kernel("Seeds", "gini_scan"), |s| {
+            (s.tp_median, s.tp_mad, s.calib_runs) = (0, 0, 0);
+        });
+        let report = passes(&k, &with(&k, |s| s.tp_median = 1));
+        assert!(report.notes.iter().any(|n| n.contains("skipped")));
+        let r = with(&robust("Seeds"), |s| {
+            (s.trials_median, s.trials_mad, s.calib_runs) = (0, 0, 0);
+            (s.wall_us_median, s.wall_us_mad) = (0, 0);
+        });
+        let cur = with(&r, |s| {
+            (s.trials_median, s.wall_us_median) = (1_000_000, 1_000_000)
+        });
+        let report = passes(&r, &cur);
+        let skipped = report.notes.iter().filter(|n| n.contains("skipped"));
+        assert_eq!(skipped.count(), 2);
+        // A bench wall time falls back to the percentage gate: +6% > 5%,
+        // +4% passes, faster is a note.
+        let b = stats();
+        fails(&b, &with(&b, |s| s.wall_us = 106_000), "wall time");
+        passes(&b, &with(&b, |s| s.wall_us = 104_000));
+        let report = passes(&b, &with(&b, |s| s.wall_us = 50_000));
+        assert!(report.notes.iter().any(|n| n.contains("improved")));
     }
 
     #[test]
     fn separate_wall_tolerance_relaxes_only_timing() {
         let base = stats();
-        let mut cur = stats();
-        cur.wall_us = 140_000; // +40%
+        let mut cur = with(&base, |s| s.wall_us = 140_000); // +40%
         let config = DiffConfig {
             max_regress: 0.05,
             max_wall_regress: 0.50,
-            ..DiffConfig::default()
         };
         assert!(diff(&base, &cur, config).passed());
         cur.area_mm2 = 14.0; // hardware still gated at 5%
         assert!(!diff(&base, &cur, config).passed());
+    }
+
+    #[test]
+    fn dataset_and_grid_drift_are_violations() {
+        let base = stats();
+        fails(
+            &base,
+            &with(&base, |s| s.dataset = "Vertebral".into()),
+            "config drift",
+        );
+        fails(
+            &base,
+            &with(&base, |s| s.depths = vec![2, 4, 6]),
+            "grid changed",
+        );
+    }
+
+    #[test]
+    fn suites_require_an_exact_key_bijection() {
+        /// `a, b` pairs with `b, a`; `a, b` against `a, c` names both
+        /// unmatched records.
+        fn case<S: Stats + std::fmt::Debug>(a: S, b: S, c: S, missing: &str, extra: &str) {
+            let config = DiffConfig::default();
+            let pair = [a.clone(), b.clone()];
+            let reports = diff_suites(&pair, &[b.clone(), a.clone()], config).expect("bijection");
+            assert_eq!(reports.len(), 2);
+            assert!(reports.iter().all(DiffReport::passed));
+            let err = diff_suites(&pair, &[a, c], config).unwrap_err();
+            assert!(err.contains(missing), "{err}");
+            assert!(err.contains(extra), "{err}");
+        }
+        let named = |dataset: &str| with(&stats(), |s| s.dataset = dataset.into());
+        case(
+            named("Seeds"),
+            named("Cardio"),
+            named("Pendigits"),
+            "\"Cardio\" missing from the current run",
+            "\"Pendigits\" has no baseline record",
+        );
+        // The same kernel on a different dataset is NOT a counterpart.
+        case(
+            kernel("Seeds", "gini_scan"),
+            kernel("Seeds", "cube_merge"),
+            kernel("Cardio", "gini_scan"),
+            "\"Seeds/cube_merge\" missing",
+            "\"Cardio/gini_scan\" has no baseline",
+        );
+        case(
+            robust("Seeds"),
+            robust("Cardio"),
+            robust("Pendigits"),
+            "\"Cardio\" missing",
+            "\"Pendigits\" has no baseline",
+        );
+        // diff_many routes two suites through the same bijection.
+        let config = DiffConfig::default();
+        let suite = [named("Seeds"), named("Cardio")];
+        let err = diff_many(&suite, &[named("Seeds"), named("Pendigits")], config).unwrap_err();
+        assert!(
+            err.contains("\"Cardio\" missing from the current run"),
+            "{err}"
+        );
+        assert!(diff_many(&suite, &[], config).is_err());
+    }
+
+    #[test]
+    fn diff_many_matches_a_single_run_inside_a_suite() {
+        let named = |dataset: &str| with(&stats(), |s| s.dataset = dataset.into());
+        let (a, b) = (named("Seeds"), named("Cardio"));
+        let config = DiffConfig::default();
+        let reports =
+            diff_many(&[a.clone(), b.clone()], std::slice::from_ref(&b), config).expect("lookup");
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].baseline.dataset, "Cardio");
+        // And the reverse orientation.
+        let reports =
+            diff_many(std::slice::from_ref(&a), &[b.clone(), a.clone()], config).expect("lookup");
+        assert_eq!(reports[0].current.dataset, "Seeds");
+        // A single run with no counterpart errors.
+        let err = diff_many(&[a, b], &[named("Pendigits")], config).unwrap_err();
+        assert!(err.contains("no baseline record"), "{err}");
+    }
+
+    #[test]
+    fn records_round_trip_through_their_json_line() {
+        fn case<S: Stats + PartialEq + std::fmt::Debug>(original: S) -> String {
+            let json = original.to_json();
+            let kind = format!(r#"{{"kind":"{}""#, S::AXIS.stats_kind);
+            assert!(json.starts_with(&kind), "{json}");
+            let (parsed, warnings) = S::parse_suite(&json).expect("parses");
+            assert!(warnings.is_empty());
+            assert_eq!(parsed, vec![original]);
+            json
+        }
+        case(stats());
+        let json = case(calibrated());
+        for field in [
+            r#""wall_us_median":100000"#,
+            r#""calib_runs":5"#,
+            r#""peak_rss_kb":40000"#,
+            r#""build":"release""#,
+        ] {
+            assert!(json.contains(field), "{json}");
+        }
+        // Single-shot stats keep the compact legacy shape.
+        let json = stats().to_json();
+        for field in ["wall_us_median", "peak_rss_kb", "cpus"] {
+            assert!(!json.contains(field), "{json}");
+        }
+        case(kernel("Seeds", "gini_scan"));
+        case(robust("Seeds"));
+        // A kernel or robustness input holding none of its records is a
+        // hard error.
+        let foreign = r#"{"kind":"bench_stats"}"#;
+        assert!(KernelStats::parse_suite(foreign).is_err());
+        assert!(RobustStats::parse_suite(foreign).is_err());
+    }
+
+    #[test]
+    fn suite_axis_names_every_kind_a_file_mixes() {
+        let bench = calibrated().to_json();
+        let kernel = kernel("Seeds", "gini_scan").to_json();
+        assert_eq!(suite_axis("not json").unwrap(), None);
+        assert_eq!(suite_axis(&kernel).unwrap(), Some(KernelStats::AXIS));
+        let err = suite_axis(&format!("{bench}\n{kernel}\n")).unwrap_err();
+        assert!(err.contains("bench_stats and kernel_stats"), "{err}");
+    }
+
+    #[test]
+    fn markdown_table_renders_one_row_per_record() {
+        let base = kernel("Seeds", "gini_scan");
+        let cur = with(&base, |s| s.tp_median = 2_000_000); // a 2× improvement
+        let reports =
+            diff_suites(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
+        let table = render_table(&reports);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 3, "header + separator + one row:\n{table}");
+        assert_eq!(
+            lines[0],
+            "| dataset/kernel | calls | items | tp_median | verdict |"
+        );
+        assert_eq!(
+            lines[2],
+            "| Seeds/gini_scan | 7 | 1610 | 1000000 → 2000000 (+100.0%) | pass |"
+        );
+        // A regressed record renders its verdict in the same row shape.
+        let cur = with(&base, |s| s.tp_median = 100_000);
+        let reports = diff_suites(&[base], &[cur], DiffConfig::default()).unwrap();
+        assert!(
+            render_table(&reports).contains("(-90.0%) | REGRESSION |"),
+            "{}",
+            render_table(&reports)
+        );
     }
 
     #[test]
@@ -1690,94 +1837,9 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_gate_uses_the_mad_threshold() {
-        let base = calibrated(); // median 100_000, MAD 1_000
-        let mut cur = calibrated();
-        // Threshold = 100_000 + max(50_000 floor, 8×1_000) = 150_000.
-        cur.wall_us = 150_000;
-        assert!(diff(&base, &cur, DiffConfig::default()).passed());
-        cur.wall_us = 150_001;
-        let report = diff(&base, &cur, DiffConfig::default());
-        assert!(!report.passed());
-        assert!(
-            report.violations[0].contains("calibration runs"),
-            "{:?}",
-            report.violations
-        );
-    }
-
-    #[test]
-    fn mad_dominates_when_above_the_floor() {
-        let mut base = calibrated();
-        base.wall_us_mad = 20_000; // 8×20_000 = 160_000 > 50_000 floor
-        let mut cur = calibrated();
-        cur.wall_us = 255_000; // under 100_000 + 160_000
-        assert!(diff(&base, &cur, DiffConfig::default()).passed());
-        cur.wall_us = 265_000;
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
-    }
-
-    #[test]
-    fn env_mismatch_refuses_the_wall_gate_but_keeps_deterministic_gates() {
-        let base = calibrated();
-        let mut cur = calibrated();
-        cur.cpus = 2;
-        cur.wall_us = 10_000_000; // way past any threshold — but unjudgeable
-        let report = diff(&base, &cur, DiffConfig::default());
-        assert!(report.passed(), "{:?}", report.violations);
-        assert!(
-            report.notes.iter().any(|n| n.contains("REFUSED")),
-            "{:?}",
-            report.notes
-        );
-        // Deterministic metrics still fire on the mismatched-env pair.
-        cur.area_mm2 = 20.0;
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
-    }
-
-    #[test]
-    fn uncalibrated_baseline_falls_back_to_percentage() {
-        let base = stats(); // calib_runs = 0
-        let mut cur = stats();
-        cur.wall_us = 106_000;
-        assert!(!diff(&base, &cur, DiffConfig::default()).passed());
-    }
-
-    #[test]
-    fn stats_json_round_trips() {
-        let original = stats();
-        let json = original.to_json();
-        let (parsed, warnings) = TraceStats::from_text(&json).expect("parses");
-        assert!(warnings.is_empty());
-        assert_eq!(parsed, original);
-    }
-
-    #[test]
-    fn calibrated_stats_json_round_trips() {
-        let original = calibrated();
-        let json = original.to_json();
-        assert!(json.contains(r#""wall_us_median":100000"#), "{json}");
-        assert!(json.contains(r#""calib_runs":5"#), "{json}");
-        assert!(json.contains(r#""peak_rss_kb":40000"#), "{json}");
-        assert!(json.contains(r#""build":"release""#), "{json}");
-        let (parsed, _) = TraceStats::from_text(&json).expect("parses");
-        assert_eq!(parsed, original);
-    }
-
-    #[test]
-    fn uncalibrated_json_omits_the_new_fields() {
-        let json = stats().to_json();
-        assert!(!json.contains("wall_us_median"), "{json}");
-        assert!(!json.contains("peak_rss_kb"), "{json}");
-        assert!(!json.contains("cpus"), "{json}");
-    }
-
-    #[test]
     fn from_text_multi_reads_a_whole_suite() {
-        let mut a = calibrated();
-        a.dataset = "Seeds".into();
-        let mut b = calibrated();
-        b.dataset = "Cardio".into();
+        let a = with(&calibrated(), |s| s.dataset = "Seeds".into());
+        let b = with(&calibrated(), |s| s.dataset = "Cardio".into());
         let file = format!("{}\n{}\n", a.to_json(), b.to_json());
         let (suite, warnings) = TraceStats::from_text_multi(&file).expect("parses");
         assert!(warnings.is_empty());
@@ -1787,63 +1849,8 @@ mod tests {
     }
 
     #[test]
-    fn diff_many_requires_an_exact_bijection() {
-        let mut a = stats();
-        a.dataset = "Seeds".into();
-        let mut b = stats();
-        b.dataset = "Cardio".into();
-        let mut c = stats();
-        c.dataset = "Pendigits".into();
-        // Exact match passes.
-        let reports = diff_many(
-            &[a.clone(), b.clone()],
-            &[a.clone(), b.clone()],
-            DiffConfig::default(),
-        )
-        .expect("bijection");
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(DiffReport::passed));
-        // Missing on the current side is a hard error, not a skip.
-        let err = diff_many(
-            &[a.clone(), b.clone()],
-            &[a.clone(), c.clone()],
-            DiffConfig::default(),
-        )
-        .unwrap_err();
-        assert!(
-            err.contains("\"Cardio\" missing from the current run"),
-            "{err}"
-        );
-        assert!(
-            err.contains("\"Pendigits\" has no baseline record"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn diff_many_matches_a_single_run_inside_a_suite() {
-        let mut a = stats();
-        a.dataset = "Seeds".into();
-        let mut b = stats();
-        b.dataset = "Cardio".into();
-        let reports = diff_many(&[a.clone(), b.clone()], &[b.clone()], DiffConfig::default())
-            .expect("lookup");
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].baseline.dataset, "Cardio");
-        // And the reverse orientation.
-        let reports = diff_many(&[a.clone()], &[b.clone(), a.clone()], DiffConfig::default())
-            .expect("lookup");
-        assert_eq!(reports[0].current.dataset, "Seeds");
-        // A single run with no counterpart errors.
-        let mut c = stats();
-        c.dataset = "Pendigits".into();
-        let err = diff_many(&[a, b], &[c], DiffConfig::default()).unwrap_err();
-        assert!(err.contains("no baseline record"), "{err}");
-    }
-
-    #[test]
     fn from_text_accepts_a_trace_dump() {
-        use printed_telemetry::{keys, FieldValue, Recorder, RunManifest};
+        use printed_telemetry::{Recorder, RunManifest};
         let (recorder, sink) = Recorder::collecting();
         let span = recorder.span(keys::STAGE_SWEEP);
         recorder.add(keys::GINI_EVALS, 777);
@@ -1876,354 +1883,5 @@ mod tests {
     #[test]
     fn garbage_input_is_a_hard_error() {
         assert!(TraceStats::from_text("definitely not json").is_err());
-    }
-
-    fn kernel(dataset: &str, name: &str) -> KernelStats {
-        KernelStats {
-            dataset: dataset.into(),
-            kernel: name.into(),
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            calls: 7,
-            items: 1_610,
-            cpus: 8,
-            threads: 0,
-            build: "release".into(),
-            unix_secs: 1_754_000_000,
-            ..KernelStats::default()
-        }
-        // Median 1_000_000, deviations [20k, 10k, 0, 10k, 30k] → MAD 10k.
-        .with_calibration(&[980_000, 990_000, 1_000_000, 1_010_000, 1_030_000])
-    }
-
-    #[test]
-    fn kernel_stats_json_round_trips() {
-        let original = kernel("Seeds", "gini_scan");
-        let json = original.to_json();
-        assert!(json.starts_with(r#"{"kind":"kernel_stats""#), "{json}");
-        let parsed = KernelStats::from_text_multi(&json).expect("parses");
-        assert_eq!(parsed, vec![original]);
-        // A file with no kernel records is a hard error.
-        assert!(KernelStats::from_text_multi(r#"{"kind":"bench_stats"}"#).is_err());
-    }
-
-    #[test]
-    fn kernel_table_renders_one_markdown_row_per_pair() {
-        let base = kernel("Seeds", "gini_scan");
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 2_000_000; // a 2× improvement
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        let table = render_kernel_table(&reports);
-        let lines: Vec<&str> = table.lines().collect();
-        assert_eq!(lines.len(), 3, "header + separator + one row:\n{table}");
-        assert!(lines[0].starts_with("| dataset | kernel |"));
-        assert!(lines[2].contains("| Seeds | gini_scan |"));
-        assert!(lines[2].contains("| 1000000 | 2000000 | +100.0% | pass |"));
-        // A regressed pair renders its verdict in the same row shape.
-        let mut base = kernel("Seeds", "gini_scan");
-        base.tp_mad = 0;
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 100_000;
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        let table = render_kernel_table(&reports);
-        assert!(table.contains("| -90.0% | REGRESSION |"), "{table}");
-    }
-
-    #[test]
-    fn kernel_count_drift_blocks_in_both_directions() {
-        let base = kernel("Seeds", "gini_scan");
-        for calls in [6, 8] {
-            let mut cur = kernel("Seeds", "gini_scan");
-            cur.calls = calls;
-            let reports =
-                diff_kernels(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-            assert!(!reports[0].passed(), "calls {calls} should violate");
-            assert!(reports[0].violations[0].contains("calls changed"));
-        }
-        for items in [1_609, 1_611] {
-            let mut cur = kernel("Seeds", "gini_scan");
-            cur.items = items;
-            let reports =
-                diff_kernels(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-            assert!(!reports[0].passed(), "items {items} should violate");
-            assert!(reports[0].violations[0].contains("items changed"));
-        }
-    }
-
-    #[test]
-    fn kernel_throughput_gates_at_median_minus_mad_slack() {
-        let mut base = kernel("Seeds", "gini_scan"); // median 1_000_000
-        base.tp_mad = 40_000; // 8×40_000 = 320_000 > 25% floor 250_000
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 680_000;
-        let reports = diff_kernels(&[base.clone()], &[cur.clone()], DiffConfig::default()).unwrap();
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        cur.tp_median = 679_999;
-        let reports = diff_kernels(&[base.clone()], &[cur], DiffConfig::default()).unwrap();
-        assert!(!reports[0].passed());
-        assert!(
-            reports[0].violations[0].contains("throughput regressed"),
-            "{:?}",
-            reports[0].violations
-        );
-        assert!(reports[0].render_text().contains("verdict: REGRESSION"));
-        // A faster run sails through.
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 2_000_000;
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        assert!(reports[0].passed());
-    }
-
-    #[test]
-    fn kernel_relative_floor_dominates_a_tiny_mad() {
-        let mut base = kernel("Seeds", "gini_scan");
-        base.tp_mad = 0; // 8×0 = 0 < 25%×1_000_000 = 250_000 floor
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 750_000;
-        let reports = diff_kernels(&[base.clone()], &[cur.clone()], DiffConfig::default()).unwrap();
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        cur.tp_median = 749_999;
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        assert!(!reports[0].passed());
-    }
-
-    #[test]
-    fn kernel_env_mismatch_refuses_throughput_but_keeps_counts() {
-        let base = kernel("Seeds", "gini_scan");
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.cpus = 2;
-        cur.tp_median = 1; // absurdly slow — but unjudgeable cross-env
-        let reports = diff_kernels(
-            std::slice::from_ref(&base),
-            std::slice::from_ref(&cur),
-            DiffConfig::default(),
-        )
-        .unwrap();
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        assert!(
-            reports[0].notes.iter().any(|n| n.contains("REFUSED")),
-            "{:?}",
-            reports[0].notes
-        );
-        // The deterministic counts still fire on the mismatched pair.
-        cur.items = 999;
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        assert!(!reports[0].passed());
-    }
-
-    #[test]
-    fn kernel_suites_require_a_dataset_kernel_bijection() {
-        let a = kernel("Seeds", "gini_scan");
-        let b = kernel("Seeds", "cube_merge");
-        let c = kernel("Cardio", "gini_scan");
-        let reports = diff_kernels(
-            &[a.clone(), b.clone()],
-            &[b.clone(), a.clone()],
-            DiffConfig::default(),
-        )
-        .expect("bijection");
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(KernelDiffReport::passed));
-        // Same kernel on a different dataset is NOT a counterpart.
-        let err = diff_kernels(&[a.clone(), b], &[a, c], DiffConfig::default()).unwrap_err();
-        assert!(err.contains("Seeds/cube_merge missing"), "{err}");
-        assert!(err.contains("Cardio/gini_scan has no baseline"), "{err}");
-    }
-
-    fn robust(dataset: &str) -> RobustStats {
-        RobustStats {
-            dataset: dataset.into(),
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            tau: 0.01,
-            depth: 4,
-            nominal: 0.9143,
-            robust_accuracy: 0.9021,
-            yield_est: 0.96,
-            worst_fault: 0.55,
-            droop_margin: 0.32,
-            pruned_points: 3,
-            trials_budget: 384,
-            cpus: 8,
-            threads: 0,
-            build: "release".into(),
-            unix_secs: 1_754_000_000,
-            ..RobustStats::default()
-        }
-        // trials median 120 MAD 0; wall median 80_000 MAD 1_000.
-        .with_calibration(&[120, 120, 120], &[79_000, 80_000, 81_000])
-    }
-
-    #[test]
-    fn robust_stats_json_round_trips() {
-        let original = robust("Seeds");
-        let json = original.to_json();
-        assert!(json.starts_with(r#"{"kind":"robust_stats""#), "{json}");
-        let parsed = RobustStats::from_text_multi(&json).expect("parses");
-        assert_eq!(parsed, vec![original]);
-        // A file with no robustness records is a hard error.
-        assert!(RobustStats::from_text_multi(r#"{"kind":"bench_stats"}"#).is_err());
-    }
-
-    #[test]
-    fn robust_deterministic_metrics_gate_exactly_in_both_directions() {
-        let base = robust("Seeds");
-        // Yield drift fails even when it *improves*.
-        for yield_est in [0.90, 0.99] {
-            let mut cur = robust("Seeds");
-            cur.yield_est = yield_est;
-            let reports =
-                diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-            assert!(!reports[0].passed(), "yield {yield_est} should violate");
-            assert!(
-                reports[0].violations[0].contains("yield changed"),
-                "{:?}",
-                reports[0].violations
-            );
-        }
-        // Selection drift is a violation.
-        let mut cur = robust("Seeds");
-        cur.depth = 2;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-        assert!(!reports[0].passed());
-        assert!(reports[0].violations[0].contains("selected depth"));
-        // So is a changed pruned-point count.
-        let mut cur = robust("Seeds");
-        cur.pruned_points = 0;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-        assert!(!reports[0].passed());
-        assert!(
-            reports[0].violations[0].contains("pruned points"),
-            "{:?}",
-            reports[0].violations
-        );
-        assert!(reports[0].render_text().contains("verdict: REGRESSION"));
-        // An identical run passes.
-        let reports = diff_robust(
-            std::slice::from_ref(&base),
-            std::slice::from_ref(&base),
-            DiffConfig::default(),
-        )
-        .unwrap();
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-    }
-
-    #[test]
-    fn robust_trials_gate_fires_upward_only() {
-        let base = robust("Seeds"); // trials median 120, MAD 0
-                                    // Threshold = 120 + max(8×0, 25%×120 = 30) = 150.
-        let mut cur = robust("Seeds");
-        cur.trials_median = 150;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        let mut cur = robust("Seeds");
-        cur.trials_median = 151;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-        assert!(!reports[0].passed());
-        assert!(
-            reports[0].violations[0].contains("trials spent regressed"),
-            "{:?}",
-            reports[0].violations
-        );
-        // Fewer trials is an improvement note, not a violation.
-        let mut cur = robust("Seeds");
-        cur.trials_median = 60;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-        assert!(reports[0].passed());
-        assert!(reports[0].notes.iter().any(|n| n.contains("improved")));
-    }
-
-    #[test]
-    fn robust_wall_gate_is_calibrated_and_env_refused() {
-        let base = robust("Seeds"); // wall median 80_000, MAD 1_000
-                                    // Threshold = 80_000 + max(50_000 floor, 8×1_000) = 130_000.
-        let mut cur = robust("Seeds");
-        cur.wall_us_median = 130_000;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        let mut cur = robust("Seeds");
-        cur.wall_us_median = 130_001;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-        assert!(!reports[0].passed());
-        assert!(
-            reports[0].violations[0].contains("campaign wall regressed"),
-            "{:?}",
-            reports[0].violations
-        );
-        // Cross-environment: the wall gate refuses, deterministic gates stay.
-        let mut cur = robust("Seeds");
-        cur.cpus = 2;
-        cur.wall_us_median = 10_000_000;
-        let reports = diff_robust(
-            std::slice::from_ref(&base),
-            &[cur.clone()],
-            DiffConfig::default(),
-        )
-        .unwrap();
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        assert!(reports[0].notes.iter().any(|n| n.contains("REFUSED")));
-        cur.yield_est = 0.5;
-        let reports =
-            diff_robust(std::slice::from_ref(&base), &[cur], DiffConfig::default()).unwrap();
-        assert!(!reports[0].passed());
-    }
-
-    #[test]
-    fn robust_suites_require_a_dataset_bijection() {
-        let a = robust("Seeds");
-        let b = robust("Cardio");
-        let c = robust("Pendigits");
-        let reports = diff_robust(
-            &[a.clone(), b.clone()],
-            &[b.clone(), a.clone()],
-            DiffConfig::default(),
-        )
-        .expect("bijection");
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(RobustDiffReport::passed));
-        let err = diff_robust(&[a.clone(), b], &[a, c], DiffConfig::default()).unwrap_err();
-        assert!(err.contains("\"Cardio\" missing"), "{err}");
-        assert!(err.contains("\"Pendigits\" has no baseline"), "{err}");
-    }
-
-    #[test]
-    fn robust_uncalibrated_baseline_skips_timing_gates() {
-        let mut base = robust("Seeds");
-        base.trials_median = 0;
-        base.trials_mad = 0;
-        base.wall_us_median = 0;
-        base.wall_us_mad = 0;
-        base.calib_runs = 0;
-        let mut cur = robust("Seeds");
-        cur.trials_median = 1_000_000;
-        cur.wall_us_median = 1_000_000;
-        let reports = diff_robust(&[base], &[cur], DiffConfig::default()).unwrap();
-        assert!(reports[0].passed(), "{:?}", reports[0].violations);
-        assert_eq!(
-            reports[0]
-                .notes
-                .iter()
-                .filter(|n| n.contains("skipped"))
-                .count(),
-            2
-        );
-    }
-
-    #[test]
-    fn kernel_uncalibrated_baseline_skips_throughput() {
-        let mut base = kernel("Seeds", "gini_scan");
-        base.tp_median = 0;
-        base.tp_mad = 0;
-        base.calib_runs = 0;
-        let mut cur = kernel("Seeds", "gini_scan");
-        cur.tp_median = 1;
-        let reports = diff_kernels(&[base], &[cur], DiffConfig::default()).unwrap();
-        assert!(reports[0].passed());
-        assert!(reports[0].notes.iter().any(|n| n.contains("skipped")));
     }
 }

@@ -1,13 +1,15 @@
-//! Cross-PR benchmark history: append-only `bench_history` NDJSON and a
+//! Cross-PR benchmark history: append-only `*_history` NDJSON and a
 //! drift renderer for `printed-trace history`.
 //!
 //! `BENCH_all.ndjson` answers "did *this* change regress the suite?";
-//! the history file answers the longitudinal question — how wall time
-//! and hardware cost moved across merges. CI appends one
-//! `{"kind":"bench_history"}` line per benchmark per PR (git SHA,
-//! timestamp, the deterministic metrics, and the median wall time), and
-//! `printed-trace history` renders each dataset's records in order with
-//! the per-step wall drift.
+//! the history file answers the longitudinal question — how wall time,
+//! hardware cost, kernel throughput and campaign spend moved across
+//! merges. CI appends one `{"kind":"bench_history"}`,
+//! `{"kind":"kernel_history"}` or `{"kind":"robust_history"}` line per
+//! record per PR (git SHA, timestamp, the key fields, and the metrics the
+//! record's [`Axis::history`] lists), and `printed-trace history`
+//! renders each key's records in order with the per-step drift. The
+//! three axes share one file without crosstalk.
 //!
 //! Records are one JSON object per line, so the file merges trivially
 //! and a torn append (killed CI job) corrupts at most the final line —
@@ -15,110 +17,155 @@
 
 use printed_telemetry::JsonLine;
 
-use crate::diff::{KernelStats, RobustStats, TraceStats};
+use crate::diff::{short, Axis, Fields, Stats, AXES};
 use crate::json::{parse as parse_json, JsonValue};
 
-/// One benchmark's guarded numbers at one revision.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// How a history column prints its value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Fmt {
+    /// An integer (stored as a JSON integer).
+    Int,
+    /// A float in its shortest form.
+    Float,
+    /// A float with this many decimals.
+    Fixed(usize),
+}
+
+/// One metric a history record keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Column {
+    /// The metric's record field name ([`crate::diff::Metric::key`]).
+    pub key: &'static str,
+    /// Table header; empty = stored but not rendered.
+    pub header: &'static str,
+    /// Table column width.
+    pub width: usize,
+    /// Number format.
+    pub fmt: Fmt,
+    /// 0 means "not recorded": omitted from the JSON line, rendered `—`.
+    pub optional: bool,
+    /// Header of the per-step change column, when the table shows one.
+    pub delta: Option<&'static str>,
+}
+
+/// A plain column (builder style; see [`Column::optional`] and
+/// [`Column::delta`]).
+pub(crate) const fn col(key: &'static str, header: &'static str, width: usize, fmt: Fmt) -> Column {
+    Column {
+        key,
+        header,
+        width,
+        fmt,
+        optional: false,
+        delta: None,
+    }
+}
+
+impl Column {
+    /// Marks 0 as "not recorded".
+    pub(crate) const fn optional(mut self) -> Self {
+        self.optional = true;
+        self
+    }
+
+    /// Adds a per-step change column with this header.
+    pub(crate) const fn delta(mut self, header: &'static str) -> Self {
+        self.delta = Some(header);
+        self
+    }
+
+    fn render(&self, value: f64) -> String {
+        match self.fmt {
+            _ if self.optional && value == 0.0 => "—".to_owned(),
+            Fmt::Int => (value as u64).to_string(),
+            Fmt::Float => value.to_string(),
+            Fmt::Fixed(decimals) => format!("{value:.decimals$}"),
+        }
+    }
+}
+
+/// One record's history numbers at one revision, on any axis.
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistoryEntry {
+    /// The axis the record belongs to.
+    pub axis: &'static Axis,
     /// Git revision the record was produced at.
     pub git_sha: String,
     /// Unix timestamp (seconds) of the run.
     pub unix_secs: u64,
-    /// Benchmark/dataset name.
-    pub dataset: String,
-    /// Median wall time, µs.
-    pub wall_us: u64,
-    /// Gini evaluations across the sweep.
-    pub gini_evals: u64,
-    /// Trees trained.
-    pub trees: u64,
-    /// Truncation-shared candidates.
-    pub trees_shared: u64,
-    /// Selected design's area, mm².
-    pub area_mm2: f64,
-    /// Selected design's power, mW.
-    pub power_mw: f64,
-    /// Selected design's comparators.
-    pub comparators: u64,
-    /// Peak resident-set size of the producing process, kB (0 = not
-    /// recorded; absent on pre-RSS history records).
-    pub peak_rss_kb: u64,
+    /// Values of the axis' key fields, dataset first.
+    pub key: Vec<String>,
+    /// One value per [`Axis::history`] column.
+    pub values: Vec<f64>,
 }
 
 impl HistoryEntry {
-    /// Condenses baseline stats into a history record.
-    pub fn from_stats(stats: &TraceStats) -> Self {
+    /// Condenses a baseline record into a history record.
+    pub fn from_stats<S: Stats>(stats: &S) -> Self {
+        let metrics = stats.metrics();
+        let provenance = stats.provenance();
         Self {
-            git_sha: stats.git_sha.clone(),
-            unix_secs: stats.unix_secs,
-            dataset: stats.dataset.clone(),
-            wall_us: stats.wall_us,
-            gini_evals: stats.gini_evals,
-            trees: stats.trees,
-            trees_shared: stats.trees_shared,
-            area_mm2: stats.area_mm2,
-            power_mw: stats.power_mw,
-            comparators: stats.comparators,
-            peak_rss_kb: stats.peak_rss_kb,
+            axis: S::AXIS,
+            git_sha: provenance.git_sha.to_owned(),
+            unix_secs: provenance.unix_secs,
+            key: stats.key().into_iter().map(str::to_owned).collect(),
+            values: S::AXIS
+                .history
+                .iter()
+                .map(|column| {
+                    metrics
+                        .iter()
+                        .find(|m| m.key == column.key)
+                        .expect("history columns name metrics of their axis")
+                        .value
+                })
+                .collect(),
         }
     }
 
-    /// Serializes to one `{"kind":"bench_history"}` NDJSON line. The RSS
-    /// field is emitted only when recorded, so pre-RSS appends keep their
-    /// compact shape.
+    /// Serializes to one `{"kind":"*_history"}` NDJSON line.
     pub fn to_json(&self) -> String {
         let mut line = JsonLine::new()
-            .str("kind", "bench_history")
+            .str("kind", self.axis.history_kind)
             .str("git_sha", &self.git_sha)
-            .u64("unix_secs", self.unix_secs)
-            .str("dataset", &self.dataset)
-            .u64("wall_us", self.wall_us)
-            .u64("gini_evals", self.gini_evals)
-            .u64("trees", self.trees)
-            .u64("trees_shared", self.trees_shared)
-            .f64("area_mm2", self.area_mm2)
-            .f64("power_mw", self.power_mw)
-            .u64("comparators", self.comparators);
-        if self.peak_rss_kb > 0 {
-            line = line.u64("peak_rss_kb", self.peak_rss_kb);
+            .u64("unix_secs", self.unix_secs);
+        for (name, value) in self.axis.key.iter().zip(&self.key) {
+            line = line.str(name, value);
+        }
+        for (column, &value) in self.axis.history.iter().zip(&self.values) {
+            line = match column.fmt {
+                _ if column.optional && value == 0.0 => line,
+                Fmt::Int => line.u64(column.key, value as u64),
+                Fmt::Float | Fmt::Fixed(_) => line.f64(column.key, value),
+            };
         }
         line.finish()
     }
 
     fn from_json(value: &JsonValue) -> Option<Self> {
-        if value.get("kind").and_then(JsonValue::as_str) != Some("bench_history") {
-            return None;
-        }
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let f = |key: &str| value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
+        let kind = value.get("kind")?.as_str()?;
+        let axis = AXES.into_iter().find(|axis| axis.history_kind == kind)?;
+        let fields = Fields(value);
         Some(Self {
-            git_sha: s("git_sha"),
-            unix_secs: u("unix_secs"),
-            dataset: s("dataset"),
-            wall_us: u("wall_us"),
-            gini_evals: u("gini_evals"),
-            trees: u("trees"),
-            trees_shared: u("trees_shared"),
-            area_mm2: f("area_mm2"),
-            power_mw: f("power_mw"),
-            comparators: u("comparators"),
-            // Absent on pre-RSS records; defaults to "not recorded".
-            peak_rss_kb: u("peak_rss_kb"),
+            axis,
+            git_sha: fields.s("git_sha"),
+            unix_secs: fields.u("unix_secs"),
+            key: axis.key.iter().map(|name| fields.s(name)).collect(),
+            values: axis
+                .history
+                .iter()
+                .map(|column| match column.fmt {
+                    Fmt::Int => fields.u(column.key) as f64,
+                    Fmt::Float | Fmt::Fixed(_) => fields.f(column.key),
+                })
+                .collect(),
         })
     }
 }
 
-/// Parses a history file: all `bench_history` lines, in file order, plus
-/// warnings for lines that were JSON-ish but not parseable (torn
-/// appends). Foreign record kinds are skipped silently.
+/// Parses a history file: every `*_history` line, in file order, plus
+/// warnings for lines that were not parseable (torn appends). Foreign
+/// record kinds are skipped silently.
 pub fn parse_history(text: &str) -> (Vec<HistoryEntry>, Vec<String>) {
     let mut entries = Vec::new();
     let mut warnings = Vec::new();
@@ -128,428 +175,102 @@ pub fn parse_history(text: &str) -> (Vec<HistoryEntry>, Vec<String>) {
             continue;
         }
         match parse_json(line) {
-            Ok(value) => {
-                if let Some(entry) = HistoryEntry::from_json(&value) {
-                    entries.push(entry);
-                }
-            }
+            Ok(value) => entries.extend(HistoryEntry::from_json(&value)),
             Err(e) => warnings.push(format!("line {}: unparseable ({e:?})", i + 1)),
         }
     }
     (entries, warnings)
 }
 
-/// Renders per-dataset drift tables: each record with its date, short
-/// SHA, guarded numbers, and wall-time delta vs the previous record of
-/// the same dataset. `dataset` filters to one benchmark.
+/// Renders drift tables, axis by axis: one table per key with each
+/// record's date, short SHA, kept metrics, and the per-step change of
+/// the delta columns against the previous record of that key (a 0 is
+/// "not recorded" and neither shows nor breaks a delta). `dataset`
+/// filters to one benchmark.
 pub fn render_history(entries: &[HistoryEntry], dataset: Option<&str>) -> String {
-    let mut datasets: Vec<&str> = Vec::new();
-    for entry in entries {
-        if dataset.is_some_and(|d| d != entry.dataset) {
-            continue;
+    let mut out = String::new();
+    for axis in AXES {
+        let mut keys: Vec<&[String]> = Vec::new();
+        for entry in entries {
+            if entry.axis == axis
+                && dataset.is_none_or(|d| d == entry.key[0])
+                && !keys.contains(&entry.key.as_slice())
+            {
+                keys.push(&entry.key);
+            }
         }
-        if !datasets.contains(&entry.dataset.as_str()) {
-            datasets.push(&entry.dataset);
+        for key in keys {
+            let records: Vec<&HistoryEntry> = entries
+                .iter()
+                .filter(|e| e.axis == axis && e.key == key)
+                .collect();
+            render_key(&mut out, axis, key, &records);
         }
     }
-    if datasets.is_empty() {
+    if out.is_empty() {
         return match dataset {
             Some(d) => format!("history: no records for dataset {d:?}\n"),
             None => "history: no records\n".to_owned(),
         };
     }
-    let mut out = String::new();
-    for name in datasets {
-        let records: Vec<&HistoryEntry> = entries.iter().filter(|e| e.dataset == name).collect();
-        out.push_str(&format!("history: {name} ({} records)\n", records.len()));
-        out.push_str(&format!(
-            "  {:<10} {:<9} {:>9} {:>11} {:>9} {:>9} {:>4} {:>9} {:>8} {:>8}\n",
-            "date",
-            "sha",
-            "wall_us",
-            "gini_evals",
-            "area_mm2",
-            "power_mw",
-            "cmp",
-            "rss_kb",
-            "Δwall",
-            "Δrss"
-        ));
-        let step = |prev: Option<u64>, cur: u64| -> String {
-            match prev {
-                Some(prev) if prev > 0 && cur > 0 => {
-                    format!("{:+.1}%", 100.0 * (cur as f64 - prev as f64) / prev as f64)
-                }
-                _ => "—".to_owned(),
-            }
-        };
-        let mut prev_wall: Option<u64> = None;
-        let mut prev_rss: Option<u64> = None;
-        for record in records {
-            let rss = if record.peak_rss_kb > 0 {
-                record.peak_rss_kb.to_string()
-            } else {
-                "—".to_owned()
-            };
-            out.push_str(&format!(
-                "  {:<10} {:<9} {:>9} {:>11} {:>9.3} {:>9.4} {:>4} {:>9} {:>8} {:>8}\n",
-                civil_date(record.unix_secs),
-                short(&record.git_sha),
-                record.wall_us,
-                record.gini_evals,
-                record.area_mm2,
-                record.power_mw,
-                record.comparators,
-                rss,
-                step(prev_wall, record.wall_us),
-                step(prev_rss, record.peak_rss_kb),
-            ));
-            prev_wall = Some(record.wall_us);
-            // A record without RSS must not poison the next delta.
-            if record.peak_rss_kb > 0 {
-                prev_rss = Some(record.peak_rss_kb);
-            }
-        }
-    }
     out
 }
 
-/// One kernel's hot-path numbers at one revision — the kernel axis of
-/// the history file. CI appends one `{"kind":"kernel_history"}` line per
-/// `(dataset, kernel)` pair after the hotpath gate passes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct KernelHistoryEntry {
-    /// Git revision the record was produced at.
-    pub git_sha: String,
-    /// Unix timestamp (seconds) of the run.
-    pub unix_secs: u64,
-    /// Benchmark/dataset name.
-    pub dataset: String,
-    /// Kernel name (e.g. `gini_scan`).
-    pub kernel: String,
-    /// Kernel invocations per isolated driver run.
-    pub calls: u64,
-    /// Items processed per isolated driver run.
-    pub items: u64,
-    /// Median throughput across the calibration runs, items/second.
-    pub tp_median: u64,
-}
-
-impl KernelHistoryEntry {
-    /// Condenses a kernel baseline record into a history record.
-    pub fn from_stats(stats: &KernelStats) -> Self {
-        Self {
-            git_sha: stats.git_sha.clone(),
-            unix_secs: stats.unix_secs,
-            dataset: stats.dataset.clone(),
-            kernel: stats.kernel.clone(),
-            calls: stats.calls,
-            items: stats.items,
-            tp_median: stats.tp_median,
-        }
+fn render_key(out: &mut String, axis: &Axis, key: &[String], records: &[&HistoryEntry]) {
+    out.push_str(&format!(
+        "{}: {} ({} records)\n",
+        axis.history_title,
+        key.join("/"),
+        records.len()
+    ));
+    let shown: Vec<(usize, &Column)> = axis
+        .history
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| !c.header.is_empty())
+        .collect();
+    let deltas: Vec<(usize, &str)> = axis
+        .history
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| Some((i, c.delta?)))
+        .collect();
+    let mut line = format!("  {:<10} {:<9}", "date", "sha");
+    for (_, column) in &shown {
+        line.push_str(&format!(" {:>w$}", column.header, w = column.width));
     }
-
-    /// Serializes to one `{"kind":"kernel_history"}` NDJSON line.
-    pub fn to_json(&self) -> String {
-        JsonLine::new()
-            .str("kind", "kernel_history")
-            .str("git_sha", &self.git_sha)
-            .u64("unix_secs", self.unix_secs)
-            .str("dataset", &self.dataset)
-            .str("kernel", &self.kernel)
-            .u64("calls", self.calls)
-            .u64("items", self.items)
-            .u64("tp_median", self.tp_median)
-            .finish()
+    for (_, header) in &deltas {
+        line.push_str(&format!(" {header:>8}"));
     }
-
-    fn from_json(value: &JsonValue) -> Option<Self> {
-        if value.get("kind").and_then(JsonValue::as_str) != Some("kernel_history") {
-            return None;
+    out.push_str(&line);
+    out.push('\n');
+    let mut previous: Vec<Option<f64>> = vec![None; deltas.len()];
+    for record in records {
+        let mut line = format!(
+            "  {:<10} {:<9}",
+            civil_date(record.unix_secs),
+            short(&record.git_sha)
+        );
+        for &(i, column) in &shown {
+            let text = column.render(record.values[i]);
+            line.push_str(&format!(" {text:>w$}", w = column.width));
         }
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        Some(Self {
-            git_sha: s("git_sha"),
-            unix_secs: u("unix_secs"),
-            dataset: s("dataset"),
-            kernel: s("kernel"),
-            calls: u("calls"),
-            items: u("items"),
-            tp_median: u("tp_median"),
-        })
-    }
-}
-
-/// Parses the kernel axis of a history file: all `kernel_history` lines
-/// in file order, plus warnings for unparseable lines. Foreign kinds
-/// (including `bench_history` — the two axes share the file) are skipped
-/// silently.
-pub fn parse_kernel_history(text: &str) -> (Vec<KernelHistoryEntry>, Vec<String>) {
-    let mut entries = Vec::new();
-    let mut warnings = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_json(line) {
-            Ok(value) => {
-                if let Some(entry) = KernelHistoryEntry::from_json(&value) {
-                    entries.push(entry);
+        for (&(i, _), prev) in deltas.iter().zip(&mut previous) {
+            let cur = record.values[i];
+            let step = match *prev {
+                Some(prev) if prev > 0.0 && cur > 0.0 => {
+                    format!("{:+.1}%", 100.0 * (cur - prev) / prev)
                 }
-            }
-            Err(e) => warnings.push(format!("line {}: unparseable ({e:?})", i + 1)),
-        }
-    }
-    (entries, warnings)
-}
-
-/// Renders per-`(dataset, kernel)` throughput drift, one table per pair,
-/// with the per-step Δtp vs the previous record of the same pair.
-/// `dataset` filters to one benchmark. Empty input renders nothing (the
-/// caller decides whether a missing kernel axis is worth a message).
-pub fn render_kernel_history(entries: &[KernelHistoryEntry], dataset: Option<&str>) -> String {
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    for entry in entries {
-        if dataset.is_some_and(|d| d != entry.dataset) {
-            continue;
-        }
-        let key = (entry.dataset.as_str(), entry.kernel.as_str());
-        if !pairs.contains(&key) {
-            pairs.push(key);
-        }
-    }
-    let mut out = String::new();
-    for (name, kernel) in pairs {
-        let records: Vec<&KernelHistoryEntry> = entries
-            .iter()
-            .filter(|e| e.dataset == name && e.kernel == kernel)
-            .collect();
-        out.push_str(&format!(
-            "kernel history: {name}/{kernel} ({} records)\n",
-            records.len()
-        ));
-        out.push_str(&format!(
-            "  {:<10} {:<9} {:>7} {:>9} {:>14} {:>8}\n",
-            "date", "sha", "calls", "items", "items/s", "Δtp"
-        ));
-        let mut prev_tp: Option<u64> = None;
-        for record in records {
-            let delta = match prev_tp {
-                Some(prev) if prev > 0 => format!(
-                    "{:+.1}%",
-                    100.0 * (record.tp_median as f64 - prev as f64) / prev as f64
-                ),
                 _ => "—".to_owned(),
             };
-            out.push_str(&format!(
-                "  {:<10} {:<9} {:>7} {:>9} {:>14} {:>8}\n",
-                civil_date(record.unix_secs),
-                short(&record.git_sha),
-                record.calls,
-                record.items,
-                record.tp_median,
-                delta,
-            ));
-            prev_tp = Some(record.tp_median);
-        }
-    }
-    out
-}
-
-/// One benchmark's robustness-campaign numbers at one revision — the
-/// robustness axis of the history file. CI appends one
-/// `{"kind":"robust_history"}` line per benchmark after the robust gate
-/// passes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RobustHistoryEntry {
-    /// Git revision the record was produced at.
-    pub git_sha: String,
-    /// Unix timestamp (seconds) of the run.
-    pub unix_secs: u64,
-    /// Benchmark/dataset name.
-    pub dataset: String,
-    /// Gini slack τ of the robust-selected design.
-    pub tau: f64,
-    /// Depth cap of the robust-selected design.
-    pub depth: u64,
-    /// Selected design's parametric-yield estimate.
-    pub yield_est: f64,
-    /// Selected design's worst-single-fault accuracy.
-    pub worst_fault: f64,
-    /// Median Monte-Carlo trials spent across the calibration runs.
-    pub trials_median: u64,
-    /// Trials an exhaustive campaign would have run.
-    pub trials_budget: u64,
-    /// Grid points the probe pre-pass pruned.
-    pub pruned_points: u64,
-}
-
-impl RobustHistoryEntry {
-    /// Condenses a robustness baseline record into a history record.
-    pub fn from_stats(stats: &RobustStats) -> Self {
-        Self {
-            git_sha: stats.git_sha.clone(),
-            unix_secs: stats.unix_secs,
-            dataset: stats.dataset.clone(),
-            tau: stats.tau,
-            depth: stats.depth,
-            yield_est: stats.yield_est,
-            worst_fault: stats.worst_fault,
-            trials_median: stats.trials_median,
-            trials_budget: stats.trials_budget,
-            pruned_points: stats.pruned_points,
-        }
-    }
-
-    /// Serializes to one `{"kind":"robust_history"}` NDJSON line.
-    pub fn to_json(&self) -> String {
-        JsonLine::new()
-            .str("kind", "robust_history")
-            .str("git_sha", &self.git_sha)
-            .u64("unix_secs", self.unix_secs)
-            .str("dataset", &self.dataset)
-            .f64("tau", self.tau)
-            .u64("depth", self.depth)
-            .f64("yield", self.yield_est)
-            .f64("worst_fault", self.worst_fault)
-            .u64("trials_median", self.trials_median)
-            .u64("trials_budget", self.trials_budget)
-            .u64("pruned_points", self.pruned_points)
-            .finish()
-    }
-
-    fn from_json(value: &JsonValue) -> Option<Self> {
-        if value.get("kind").and_then(JsonValue::as_str) != Some("robust_history") {
-            return None;
-        }
-        let s = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let u = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let f = |key: &str| value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        Some(Self {
-            git_sha: s("git_sha"),
-            unix_secs: u("unix_secs"),
-            dataset: s("dataset"),
-            tau: f("tau"),
-            depth: u("depth"),
-            yield_est: f("yield"),
-            worst_fault: f("worst_fault"),
-            trials_median: u("trials_median"),
-            trials_budget: u("trials_budget"),
-            pruned_points: u("pruned_points"),
-        })
-    }
-}
-
-/// Parses the robustness axis of a history file: all `robust_history`
-/// lines in file order, plus warnings for unparseable lines. Foreign
-/// kinds (the three axes share the file) are skipped silently.
-pub fn parse_robust_history(text: &str) -> (Vec<RobustHistoryEntry>, Vec<String>) {
-    let mut entries = Vec::new();
-    let mut warnings = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_json(line) {
-            Ok(value) => {
-                if let Some(entry) = RobustHistoryEntry::from_json(&value) {
-                    entries.push(entry);
-                }
+            line.push_str(&format!(" {step:>8}"));
+            if cur > 0.0 {
+                *prev = Some(cur);
             }
-            Err(e) => warnings.push(format!("line {}: unparseable ({e:?})", i + 1)),
         }
+        out.push_str(&line);
+        out.push('\n');
     }
-    (entries, warnings)
-}
-
-/// Renders per-dataset robustness drift: selection point, yield,
-/// worst-fault, trial spend vs budget, with the per-step Δtrials against
-/// the previous record of the same dataset. `dataset` filters to one
-/// benchmark. Empty input renders nothing.
-pub fn render_robust_history(entries: &[RobustHistoryEntry], dataset: Option<&str>) -> String {
-    let mut datasets: Vec<&str> = Vec::new();
-    for entry in entries {
-        if dataset.is_some_and(|d| d != entry.dataset) {
-            continue;
-        }
-        if !datasets.contains(&entry.dataset.as_str()) {
-            datasets.push(&entry.dataset);
-        }
-    }
-    let mut out = String::new();
-    for name in datasets {
-        let records: Vec<&RobustHistoryEntry> =
-            entries.iter().filter(|e| e.dataset == name).collect();
-        out.push_str(&format!(
-            "robust history: {name} ({} records)\n",
-            records.len()
-        ));
-        out.push_str(&format!(
-            "  {:<10} {:<9} {:>7} {:>5} {:>7} {:>11} {:>7} {:>7} {:>7} {:>8}\n",
-            "date",
-            "sha",
-            "tau",
-            "depth",
-            "yield",
-            "worst_fault",
-            "trials",
-            "budget",
-            "pruned",
-            "Δtrials"
-        ));
-        let mut prev_trials: Option<u64> = None;
-        for record in records {
-            let delta = match prev_trials {
-                Some(prev) if prev > 0 => format!(
-                    "{:+.1}%",
-                    100.0 * (record.trials_median as f64 - prev as f64) / prev as f64
-                ),
-                _ => "—".to_owned(),
-            };
-            out.push_str(&format!(
-                "  {:<10} {:<9} {:>7} {:>5} {:>7.4} {:>11.4} {:>7} {:>7} {:>7} {:>8}\n",
-                civil_date(record.unix_secs),
-                short(&record.git_sha),
-                record.tau,
-                record.depth,
-                record.yield_est,
-                record.worst_fault,
-                record.trials_median,
-                record.trials_budget,
-                record.pruned_points,
-                delta,
-            ));
-            prev_trials = Some(record.trials_median);
-        }
-    }
-    out
-}
-
-fn short(sha: &str) -> &str {
-    if sha.is_empty() {
-        return "unknown";
-    }
-    let end = sha
-        .char_indices()
-        .nth(8)
-        .map(|(i, _)| i)
-        .unwrap_or(sha.len());
-    &sha[..end]
 }
 
 /// `YYYY-MM-DD` from a Unix timestamp (UTC), via the standard
@@ -576,12 +297,14 @@ fn civil_date(unix_secs: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{KernelStats, RobustStats, TraceStats};
 
-    fn entry(dataset: &str, wall: u64, secs: u64) -> HistoryEntry {
-        HistoryEntry {
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            unix_secs: secs,
+    const SHA: &str = "0123456789abcdef0123456789abcdef01234567";
+
+    fn bench(dataset: &str, wall: u64, secs: u64) -> HistoryEntry {
+        HistoryEntry::from_stats(&TraceStats {
             dataset: dataset.into(),
+            git_sha: SHA.into(),
             wall_us: wall,
             gini_evals: 2231,
             trees: 3,
@@ -589,40 +312,101 @@ mod tests {
             area_mm2: 3.482,
             power_mw: 0.1246,
             comparators: 3,
-            peak_rss_kb: 0,
+            unix_secs: secs,
+            ..TraceStats::default()
+        })
+    }
+
+    fn kernel(kernel: &str, tp: u64, secs: u64) -> HistoryEntry {
+        HistoryEntry::from_stats(&KernelStats {
+            dataset: "Seeds".into(),
+            kernel: kernel.into(),
+            git_sha: SHA.into(),
+            calls: 7,
+            items: 1_610,
+            tp_median: tp,
+            unix_secs: secs,
+            ..KernelStats::default()
+        })
+    }
+
+    fn robust(trials: u64, secs: u64) -> HistoryEntry {
+        HistoryEntry::from_stats(&RobustStats {
+            dataset: "Seeds".into(),
+            git_sha: SHA.into(),
+            tau: 0.01,
+            depth: 4,
+            yield_est: 0.96,
+            worst_fault: 0.55,
+            trials_median: trials,
+            trials_budget: 384,
+            pruned_points: 3,
+            unix_secs: secs,
+            ..RobustStats::default()
+        })
+    }
+
+    #[test]
+    fn entries_condense_and_round_trip_on_every_axis() {
+        // (entry, kind, key, kept values in column order)
+        let cases = [
+            (
+                bench("Seeds", 2468, 1_754_611_200),
+                "bench_history",
+                vec!["Seeds"],
+                vec![2468.0, 2231.0, 3.0, 6.0, 3.482, 0.1246, 3.0, 0.0],
+            ),
+            (
+                kernel("gini_scan", 1_000_000, 1_754_611_200),
+                "kernel_history",
+                vec!["Seeds", "gini_scan"],
+                vec![7.0, 1_610.0, 1_000_000.0],
+            ),
+            (
+                robust(120, 1_754_611_200),
+                "robust_history",
+                vec!["Seeds"],
+                vec![0.01, 4.0, 0.96, 0.55, 120.0, 384.0, 3.0],
+            ),
+        ];
+        for (entry, kind, key, values) in cases {
+            assert_eq!(entry.key, key);
+            assert_eq!(entry.values, values);
+            assert_eq!(entry.unix_secs, 1_754_611_200);
+            let line = entry.to_json();
+            assert!(
+                line.starts_with(&format!(r#"{{"kind":"{kind}","git_sha":"#)),
+                "{line}"
+            );
+            let (parsed, warnings) = parse_history(&line);
+            assert!(warnings.is_empty());
+            assert_eq!(parsed, vec![entry]);
         }
     }
 
     #[test]
-    fn round_trips_through_ndjson() {
-        let original = entry("Seeds", 2468, 1_754_611_200);
-        let line = original.to_json();
-        assert!(line.starts_with(r#"{"kind":"bench_history""#));
-        let (parsed, warnings) = parse_history(&line);
+    fn the_three_axes_share_a_file_without_crosstalk() {
+        let entries = vec![
+            bench("Seeds", 2468, 1_754_611_200),
+            kernel("gini_scan", 1_000_000, 1_754_611_200),
+            robust(120, 1_754_611_200),
+        ];
+        // Foreign kinds (a stats line in the history) are skipped silently.
+        let mut text = r#"{"kind":"bench_stats","dataset":"Seeds"}"#.to_owned();
+        for entry in &entries {
+            text.push('\n');
+            text.push_str(&entry.to_json());
+        }
+        let (parsed, warnings) = parse_history(&text);
         assert!(warnings.is_empty());
-        assert_eq!(parsed, vec![original]);
-    }
-
-    #[test]
-    fn from_stats_carries_the_guarded_numbers() {
-        let stats = TraceStats {
-            dataset: "Seeds".into(),
-            git_sha: "abc".into(),
-            wall_us: 2468,
-            gini_evals: 2231,
-            area_mm2: 3.482,
-            unix_secs: 1_754_611_200,
-            ..TraceStats::default()
-        };
-        let entry = HistoryEntry::from_stats(&stats);
-        assert_eq!(entry.dataset, "Seeds");
-        assert_eq!(entry.wall_us, 2468);
-        assert_eq!(entry.unix_secs, 1_754_611_200);
+        assert_eq!(parsed, entries);
+        let axes: Vec<&str> = parsed.iter().map(|e| e.axis.history_kind).collect();
+        assert_eq!(axes, ["bench_history", "kernel_history", "robust_history"]);
     }
 
     #[test]
     fn torn_final_line_warns_but_parses_the_rest() {
-        let good = entry("Seeds", 2468, 1_754_611_200).to_json();
+        let good = bench("Seeds", 2468, 1_754_611_200).to_json();
         let torn = &good[..good.len() / 2];
         let (parsed, warnings) = parse_history(&format!("{good}\n{torn}"));
         assert_eq!(parsed.len(), 1);
@@ -631,22 +415,53 @@ mod tests {
     }
 
     #[test]
-    fn renders_per_dataset_drift() {
-        let entries = vec![
-            entry("Seeds", 2468, 1_754_611_200),
-            entry("Cardio", 9000, 1_754_611_200),
-            entry("Seeds", 2700, 1_754_697_600),
+    fn renders_per_key_drift_on_every_axis() {
+        // (entries, substrings the unfiltered render must hold)
+        let cases = [
+            (
+                vec![
+                    bench("Seeds", 2468, 1_754_611_200),
+                    bench("Cardio", 9000, 1_754_611_200),
+                    bench("Seeds", 2700, 1_754_697_600),
+                ],
+                vec![
+                    "history: Seeds (2 records)",
+                    "history: Cardio (1 records)",
+                    "+9.4%", // 2468 → 2700
+                    "2025-08-08",
+                ],
+            ),
+            (
+                vec![
+                    kernel("gini_scan", 1_000_000, 1_754_611_200),
+                    kernel("cube_merge", 2_000_000, 1_754_611_200),
+                    kernel("gini_scan", 1_100_000, 1_754_697_600),
+                ],
+                vec![
+                    "kernel history: Seeds/gini_scan (2 records)",
+                    "kernel history: Seeds/cube_merge (1 records)",
+                    "+10.0%", // 1.0M → 1.1M
+                ],
+            ),
+            (
+                vec![robust(120, 1_754_611_200), robust(108, 1_754_697_600)],
+                vec!["robust history: Seeds (2 records)", "-10.0%"], // 120 → 108
+            ),
         ];
-        let text = render_history(&entries, None);
-        assert!(text.contains("history: Seeds (2 records)"), "{text}");
-        assert!(text.contains("history: Cardio (1 records)"), "{text}");
-        assert!(text.contains("+9.4%"), "{text}"); // 2468 → 2700
-        assert!(text.contains("2025-08-08"), "{text}");
-        // Filtered rendering drops the other dataset.
+        for (entries, needles) in cases {
+            let text = render_history(&entries, None);
+            for needle in needles {
+                assert!(text.contains(needle), "{needle}:\n{text}");
+            }
+            // Filtering to an unknown dataset says so.
+            let none = render_history(&entries, Some("Nope"));
+            assert_eq!(none, "history: no records for dataset \"Nope\"\n");
+        }
+        // Filtered rendering drops the other datasets.
+        let entries = [bench("Seeds", 1, 0), bench("Cardio", 1, 0)];
         let seeds_only = render_history(&entries, Some("Seeds"));
         assert!(!seeds_only.contains("Cardio"), "{seeds_only}");
-        // Unknown dataset says so.
-        assert!(render_history(&entries, Some("Nope")).contains("no records for"));
+        assert_eq!(render_history(&[], None), "history: no records\n");
     }
 
     #[test]
@@ -659,13 +474,16 @@ mod tests {
 
     #[test]
     fn rss_column_trends_and_tolerates_pre_rss_records() {
-        let mut with_rss = entry("Seeds", 2468, 1_754_611_200);
-        with_rss.peak_rss_kb = 40_000;
-        let mut grown = entry("Seeds", 2468, 1_754_697_600);
-        grown.peak_rss_kb = 44_000;
+        let rss = |entry: HistoryEntry, kb: f64| {
+            let mut entry = entry;
+            *entry.values.last_mut().expect("rss column") = kb;
+            entry
+        };
+        let with_rss = rss(bench("Seeds", 2468, 1_754_611_200), 40_000.0);
+        let grown = rss(bench("Seeds", 2468, 1_754_697_600), 44_000.0);
         // Old record without RSS, then two with: the Δrss of the first
         // RSS-bearing record is "—", the second is +10.0%.
-        let entries = vec![entry("Seeds", 2400, 1_754_524_800), with_rss.clone(), grown];
+        let entries = vec![bench("Seeds", 2400, 1_754_524_800), with_rss.clone(), grown];
         let text = render_history(&entries, None);
         assert!(text.contains("rss_kb"), "{text}");
         assert!(text.contains("Δrss"), "{text}");
@@ -674,162 +492,8 @@ mod tests {
         // The RSS field round-trips (and stays absent when unrecorded).
         let line = with_rss.to_json();
         assert!(line.contains(r#""peak_rss_kb":40000"#), "{line}");
-        assert!(!entry("Seeds", 1, 0).to_json().contains("peak_rss_kb"));
+        assert!(!bench("Seeds", 1, 0).to_json().contains("peak_rss_kb"));
         let (parsed, _) = parse_history(&line);
         assert_eq!(parsed, vec![with_rss]);
-    }
-
-    fn kernel_entry(kernel: &str, tp: u64, secs: u64) -> KernelHistoryEntry {
-        KernelHistoryEntry {
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            unix_secs: secs,
-            dataset: "Seeds".into(),
-            kernel: kernel.into(),
-            calls: 7,
-            items: 1_610,
-            tp_median: tp,
-        }
-    }
-
-    #[test]
-    fn kernel_history_round_trips_and_renders_drift() {
-        let original = kernel_entry("gini_scan", 1_000_000, 1_754_611_200);
-        let line = original.to_json();
-        assert!(line.starts_with(r#"{"kind":"kernel_history""#), "{line}");
-        let (parsed, warnings) = parse_kernel_history(&line);
-        assert!(warnings.is_empty());
-        assert_eq!(parsed, vec![original]);
-
-        let entries = vec![
-            kernel_entry("gini_scan", 1_000_000, 1_754_611_200),
-            kernel_entry("cube_merge", 2_000_000, 1_754_611_200),
-            kernel_entry("gini_scan", 1_100_000, 1_754_697_600),
-        ];
-        let text = render_kernel_history(&entries, None);
-        assert!(
-            text.contains("kernel history: Seeds/gini_scan (2 records)"),
-            "{text}"
-        );
-        assert!(
-            text.contains("kernel history: Seeds/cube_merge (1 records)"),
-            "{text}"
-        );
-        assert!(text.contains("+10.0%"), "{text}"); // 1.0M → 1.1M
-                                                    // Filtering by dataset drops everything for a foreign name.
-        assert_eq!(render_kernel_history(&entries, Some("Nope")), "");
-    }
-
-    #[test]
-    fn the_two_history_axes_share_a_file_without_crosstalk() {
-        let bench = entry("Seeds", 2468, 1_754_611_200);
-        let kernel = kernel_entry("gini_scan", 1_000_000, 1_754_611_200);
-        let text = format!("{}\n{}\n", bench.to_json(), kernel.to_json());
-        let (bench_parsed, _) = parse_history(&text);
-        assert_eq!(bench_parsed, vec![bench]);
-        let (kernel_parsed, _) = parse_kernel_history(&text);
-        assert_eq!(kernel_parsed, vec![kernel]);
-    }
-
-    #[test]
-    fn kernel_history_condenses_from_kernel_stats() {
-        let stats = KernelStats {
-            dataset: "Seeds".into(),
-            kernel: "netlist_synth".into(),
-            git_sha: "abc".into(),
-            calls: 9,
-            items: 321,
-            tp_median: 5_000,
-            unix_secs: 1_754_611_200,
-            ..KernelStats::default()
-        };
-        let entry = KernelHistoryEntry::from_stats(&stats);
-        assert_eq!(entry.kernel, "netlist_synth");
-        assert_eq!(entry.tp_median, 5_000);
-        assert_eq!(entry.unix_secs, 1_754_611_200);
-    }
-
-    fn robust_entry(trials: u64, secs: u64) -> RobustHistoryEntry {
-        RobustHistoryEntry {
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            unix_secs: secs,
-            dataset: "Seeds".into(),
-            tau: 0.01,
-            depth: 4,
-            yield_est: 0.96,
-            worst_fault: 0.55,
-            trials_median: trials,
-            trials_budget: 384,
-            pruned_points: 3,
-        }
-    }
-
-    #[test]
-    fn robust_history_round_trips_and_renders_drift() {
-        let original = robust_entry(120, 1_754_611_200);
-        let line = original.to_json();
-        assert!(line.starts_with(r#"{"kind":"robust_history""#), "{line}");
-        let (parsed, warnings) = parse_robust_history(&line);
-        assert!(warnings.is_empty());
-        assert_eq!(parsed, vec![original]);
-
-        let entries = vec![
-            robust_entry(120, 1_754_611_200),
-            robust_entry(108, 1_754_697_600),
-        ];
-        let text = render_robust_history(&entries, None);
-        assert!(text.contains("robust history: Seeds (2 records)"), "{text}");
-        assert!(text.contains("-10.0%"), "{text}"); // 120 → 108
-        assert_eq!(render_robust_history(&entries, Some("Nope")), "");
-    }
-
-    #[test]
-    fn robust_history_condenses_from_robust_stats() {
-        let stats = RobustStats {
-            dataset: "Seeds".into(),
-            git_sha: "abc".into(),
-            tau: 0.02,
-            depth: 6,
-            yield_est: 0.9,
-            trials_median: 99,
-            trials_budget: 400,
-            pruned_points: 7,
-            unix_secs: 1_754_611_200,
-            ..RobustStats::default()
-        };
-        let entry = RobustHistoryEntry::from_stats(&stats);
-        assert_eq!(entry.depth, 6);
-        assert_eq!(entry.trials_median, 99);
-        assert_eq!(entry.pruned_points, 7);
-    }
-
-    #[test]
-    fn the_three_history_axes_share_a_file_without_crosstalk() {
-        let bench = entry("Seeds", 2468, 1_754_611_200);
-        let kernel = kernel_entry("gini_scan", 1_000_000, 1_754_611_200);
-        let robust = robust_entry(120, 1_754_611_200);
-        let text = format!(
-            "{}\n{}\n{}\n",
-            bench.to_json(),
-            kernel.to_json(),
-            robust.to_json()
-        );
-        let (bench_parsed, _) = parse_history(&text);
-        assert_eq!(bench_parsed, vec![bench]);
-        let (kernel_parsed, _) = parse_kernel_history(&text);
-        assert_eq!(kernel_parsed, vec![kernel]);
-        let (robust_parsed, _) = parse_robust_history(&text);
-        assert_eq!(robust_parsed, vec![robust]);
-    }
-
-    #[test]
-    fn foreign_kinds_are_skipped_silently() {
-        let text = format!(
-            "{}\n{}\n",
-            r#"{"kind":"bench_stats","dataset":"Seeds"}"#,
-            entry("Seeds", 1, 0).to_json()
-        );
-        let (parsed, warnings) = parse_history(&text);
-        assert_eq!(parsed.len(), 1);
-        assert!(warnings.is_empty());
     }
 }

@@ -14,7 +14,9 @@
 //! * **Did this change make things worse?** [`TraceStats`] condenses a
 //!   run to its guarded numbers and [`diff`](diff::diff) gates a fresh
 //!   run against a committed `BENCH_*.json` baseline, failing on wall
-//!   time, Gini-eval, or area/power drift past a tolerance.
+//!   time, Gini-eval, or area/power drift past a tolerance. The kernel
+//!   ([`KernelStats`]) and campaign ([`RobustStats`]) axes go through
+//!   the same [`Stats`] gate.
 //!
 //! The `printed-trace` CLI wraps all three (`report`, `diff`,
 //! `snapshot`); the library API serves programmatic use:
@@ -60,14 +62,10 @@ pub mod watch;
 
 pub use cost::{AdcRow, ClassRow, CostReport, RobustRow, SelectedDesign};
 pub use diff::{
-    diff_kernels, diff_many, diff_robust, diff_suites, median_mad, render_kernel_table, DiffConfig,
-    DiffReport, KernelDiffReport, KernelStats, RobustDiffReport, RobustStats, TraceStats,
+    diff_many, diff_suites, median_mad, render_table, suite_axis, DiffConfig, DiffReport,
+    KernelStats, RobustStats, Stats, TraceStats,
 };
-pub use history::{
-    parse_history, parse_kernel_history, parse_robust_history, render_history,
-    render_kernel_history, render_robust_history, HistoryEntry, KernelHistoryEntry,
-    RobustHistoryEntry,
-};
+pub use history::{parse_history, render_history, HistoryEntry};
 pub use parse::{parse_trace, ParsedTrace};
 pub use profile::{Profile, ProfileNode};
 pub use watch::{WatchState, Watcher};
