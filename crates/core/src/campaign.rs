@@ -879,8 +879,8 @@ impl RobustnessCampaign {
     }
 
     /// [`run`](Self::run) under an explicit analog model. Candidates are
-    /// profiled in parallel (chunked scoped threads, like the explorer),
-    /// each under a [`keys::ROBUST_SPAN`] carrying its grid point and
+    /// profiled in parallel (work-stolen off a shared cursor, like the
+    /// explorer), each under a [`keys::ROBUST_SPAN`] carrying its grid point and
     /// profile; per-candidate derived seeds keep the outcome identical for
     /// any thread count.
     pub fn run_with(
@@ -941,76 +941,83 @@ impl RobustnessCampaign {
         let done = AtomicUsize::new(0);
         let trials_running = AtomicU64::new(0);
         let pruned_running = AtomicUsize::new(0);
+        // Work stealing: workers pull the next candidate off a shared
+        // cursor. Candidates are sorted by (depth, τ), so a contiguous split
+        // would hand one worker nearly all the deep, expensive points.
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(4);
-        let chunk = candidates.len().div_ceil(threads).max(1);
-        let evaluations: Vec<RobustCheckpointLine> = std::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk)
-                .map(|points| {
+            .unwrap_or(4)
+            .min(total)
+            .max(1);
+        let next = AtomicUsize::new(0);
+        let mut indexed: Vec<(usize, RobustCheckpointLine)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
                     let done = &done;
+                    let next = &next;
                     let trials_running = &trials_running;
                     let pruned_running = &pruned_running;
                     let completed = &completed;
                     scope.spawn(move || {
-                        points
-                            .iter()
-                            .map(|candidate| {
-                                let key = (candidate.depth, candidate.tau.to_bits());
-                                let line = if let Some(line) = completed.get(&key) {
-                                    recorder.add(keys::ROBUST_CHECKPOINT_HITS, 1);
-                                    line.clone()
-                                } else {
-                                    let line = self.evaluate_candidate(
-                                        candidate,
-                                        test_q,
-                                        test_analog,
-                                        analog,
-                                        recorder,
-                                    );
-                                    if let Some(sink) = checkpoint_sink {
-                                        use std::io::Write;
-                                        let encoded = line.encode(stamp);
-                                        // Best-effort: a full disk must not
-                                        // kill the campaign, only the resume.
-                                        let mut file =
-                                            sink.lock().expect("robustness checkpoint lock");
-                                        let _ = writeln!(file, "{encoded}");
-                                        let _ = file.flush();
-                                    }
-                                    line
-                                };
-                                match &line {
-                                    RobustCheckpointLine::Profiled(row) => {
-                                        trials_running
-                                            .fetch_add(row.trials_spent as u64, Ordering::Relaxed);
-                                    }
-                                    RobustCheckpointLine::Pruned(_) => {
-                                        pruned_running.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                                recorder.event(
-                                    keys::ROBUST_PROGRESS_EVENT,
-                                    vec![
-                                        ("done".to_owned(), FieldValue::U64(finished as u64)),
-                                        ("total".to_owned(), FieldValue::U64(total as u64)),
-                                        (
-                                            "trials".to_owned(),
-                                            FieldValue::U64(trials_running.load(Ordering::Relaxed)),
-                                        ),
-                                        (
-                                            "pruned".to_owned(),
-                                            FieldValue::U64(
-                                                pruned_running.load(Ordering::Relaxed) as u64
-                                            ),
-                                        ),
-                                    ],
+                        let mut lines = Vec::new();
+                        loop {
+                            let index = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(candidate) = candidates.get(index) else {
+                                break;
+                            };
+                            let key = (candidate.depth, candidate.tau.to_bits());
+                            let line = if let Some(line) = completed.get(&key) {
+                                recorder.add(keys::ROBUST_CHECKPOINT_HITS, 1);
+                                line.clone()
+                            } else {
+                                let line = self.evaluate_candidate(
+                                    candidate,
+                                    test_q,
+                                    test_analog,
+                                    analog,
+                                    recorder,
                                 );
+                                if let Some(sink) = checkpoint_sink {
+                                    use std::io::Write;
+                                    let encoded = line.encode(stamp);
+                                    // Best-effort: a full disk must not
+                                    // kill the campaign, only the resume.
+                                    let mut file = sink.lock().expect("robustness checkpoint lock");
+                                    let _ = writeln!(file, "{encoded}");
+                                    let _ = file.flush();
+                                }
                                 line
-                            })
-                            .collect::<Vec<_>>()
+                            };
+                            match &line {
+                                RobustCheckpointLine::Profiled(row) => {
+                                    trials_running
+                                        .fetch_add(row.trials_spent as u64, Ordering::Relaxed);
+                                }
+                                RobustCheckpointLine::Pruned(_) => {
+                                    pruned_running.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
+                            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                            recorder.event(
+                                keys::ROBUST_PROGRESS_EVENT,
+                                vec![
+                                    ("done".to_owned(), FieldValue::U64(finished as u64)),
+                                    ("total".to_owned(), FieldValue::U64(total as u64)),
+                                    (
+                                        "trials".to_owned(),
+                                        FieldValue::U64(trials_running.load(Ordering::Relaxed)),
+                                    ),
+                                    (
+                                        "pruned".to_owned(),
+                                        FieldValue::U64(
+                                            pruned_running.load(Ordering::Relaxed) as u64
+                                        ),
+                                    ),
+                                ],
+                            );
+                            lines.push((index, line));
+                        }
+                        lines
                     })
                 })
                 .collect();
@@ -1019,6 +1026,10 @@ impl RobustnessCampaign {
                 .flat_map(|h| h.join().expect("robustness campaign worker panicked"))
                 .collect()
         });
+        // Back in candidate order, so the reduction below is serial.
+        indexed.sort_unstable_by_key(|&(index, _)| index);
+        let evaluations: Vec<RobustCheckpointLine> =
+            indexed.into_iter().map(|(_, line)| line).collect();
 
         if let Some(path) = checkpoint_path {
             // Every grid point finished: compact to one line per point so
@@ -1026,6 +1037,18 @@ impl RobustnessCampaign {
             let _ = crate::checkpoint::compact_robust(path, stamp, &evaluations);
         }
 
+        let outcome = self.assemble(candidates, evaluations);
+        recorder.add(keys::ROBUST_TRIALS_SPENT, outcome.trials_spent);
+        recorder.add(keys::ROBUST_TRIALS_BUDGET, outcome.trials_budget);
+        outcome
+    }
+
+    /// Reduces per-candidate records, in candidate order, to the outcome.
+    fn assemble(
+        &self,
+        candidates: &[crate::explore::CandidateDesign],
+        evaluations: Vec<RobustCheckpointLine>,
+    ) -> CampaignOutcome {
         let budget = self.trial_budget() as u64;
         let mut outcome = CampaignOutcome::default();
         for (line, candidate) in evaluations.into_iter().zip(candidates) {
@@ -1046,8 +1069,6 @@ impl RobustnessCampaign {
                 }
             }
         }
-        recorder.add(keys::ROBUST_TRIALS_SPENT, outcome.trials_spent);
-        recorder.add(keys::ROBUST_TRIALS_BUDGET, outcome.trials_budget);
         outcome
     }
 
@@ -1533,6 +1554,53 @@ mod tests {
                 .map(|c| (c.tau, c.depth))
         );
         assert!(b.trials_spent <= a.trials_spent);
+    }
+
+    /// Work stealing hands candidates to whichever worker is free, so the
+    /// campaign must equal a serial loop in candidate order — on the paper
+    /// grid, where the deep (expensive) candidates sit at the end of the
+    /// list, both exhaustively and under an adaptive budget.
+    #[test]
+    fn run_with_equals_a_serial_loop_in_candidate_order() {
+        let (train_q, test_q) = Benchmark::Seeds.load_quantized(4).unwrap();
+        let (_, test_analog) = Benchmark::Seeds.load_split().unwrap();
+        let sweep = explore(&train_q, &test_q, &ExplorationConfig::paper());
+        assert_eq!(sweep.candidates.len(), 49);
+        let analog = AnalogModel::egfet();
+        let constraints = RobustnessConstraints {
+            min_yield: Some(0.5),
+            ..RobustnessConstraints::default()
+        };
+        let typical = RobustnessCampaign::typical();
+        let adaptive = RobustnessCampaign::typical().budgeted(
+            AdaptiveBudget::new(50)
+                .with_constraints(constraints)
+                .with_floor(sweep.reference_accuracy - 0.01)
+                .with_probe(),
+        );
+        for campaign in [typical, adaptive] {
+            let parallel = campaign.run_with(
+                &sweep,
+                &test_q,
+                &test_analog,
+                &analog,
+                &Recorder::disabled(),
+            );
+            let serial: Vec<RobustCheckpointLine> = sweep
+                .candidates
+                .iter()
+                .map(|candidate| {
+                    campaign.evaluate_candidate(
+                        candidate,
+                        &test_q,
+                        &test_analog,
+                        &analog,
+                        &Recorder::disabled(),
+                    )
+                })
+                .collect();
+            assert_eq!(parallel, campaign.assemble(&sweep.candidates, serial));
+        }
     }
 
     #[test]

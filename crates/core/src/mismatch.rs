@@ -93,10 +93,13 @@ impl MismatchTrials {
                 max = a;
             }
         }
+        // Rounding in the sum can land the mean just outside the trials
+        // (400 equal trials overshoot by a few ulps); bound it by them.
+        // `max`/`min` rather than `clamp`, which panics on NaN bounds.
         let mean = if count == 0 {
             f64::NAN
         } else {
-            sum / count as f64
+            (sum / count as f64).max(min).min(max)
         };
         MismatchReport {
             nominal: self.nominal,
@@ -370,6 +373,20 @@ mod tests {
         let (_, test_analog) = Benchmark::Seeds.load_split().unwrap();
         let model = train_depth_selected(&train_q, &test_q, 5);
         (model.tree, test_analog)
+    }
+
+    #[test]
+    fn mean_of_equal_trials_stays_within_them() {
+        let accuracy = 0.6595744680851063;
+        let trials = MismatchTrials {
+            nominal: accuracy,
+            accuracies: vec![accuracy; 400],
+        };
+        // The naive sum overshoots; the report must not.
+        assert!(trials.accuracies.iter().sum::<f64>() / 400.0 > accuracy);
+        let report = trials.report();
+        assert_eq!(report.mean, accuracy);
+        assert_eq!((report.min, report.max), (accuracy, accuracy));
     }
 
     #[test]

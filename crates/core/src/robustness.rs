@@ -24,7 +24,8 @@ use serde::{Deserialize, Serialize};
 
 use printed_datasets::QuantizedDataset;
 use printed_dtree::DecisionTree;
-use printed_logic::faults::{enumerate_faults, FaultyNetlist, StuckAt};
+use printed_logic::faults::{enumerate_faults, StuckAt};
+use printed_logic::sim::FaultSim;
 
 use crate::unary::UnaryClassifier;
 
@@ -62,7 +63,9 @@ pub fn decode_one_hot(outputs: &[bool]) -> Option<usize> {
 }
 
 /// Runs the campaign: every single stuck-at fault on the unary netlist of
-/// `tree`, scored on `test`.
+/// `tree`, scored on `test`. The netlist is simulated bit-sliced, 64
+/// samples per word; the correct counts are exactly those of decoding
+/// each sample's `FaultyNetlist` outputs with [`decode_one_hot`].
 ///
 /// # Panics
 ///
@@ -76,20 +79,39 @@ pub fn fault_robustness(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRo
     let classifier = UnaryClassifier::from_tree(tree);
     let netlist = classifier.to_netlist();
 
-    // Pre-encode the test set once.
-    let encoded: Vec<(Vec<bool>, usize)> = test
+    // Encode the split once: the literal patterns for the simulator, and
+    // one bit mask per class line marking the samples labelled with it.
+    let (patterns, labels): (Vec<Vec<bool>>, Vec<usize>) = test
         .iter()
         .map(|(sample, label)| (classifier.encode_sample(sample), label))
-        .collect();
-    let score = |eval: &dyn Fn(&[bool]) -> Vec<bool>| -> f64 {
-        let correct = encoded
-            .iter()
-            .filter(|(digits, label)| decode_one_hot(&eval(digits)) == Some(*label))
-            .count();
-        correct as f64 / encoded.len() as f64
+        .unzip();
+    let mut sim = FaultSim::new(&netlist, &patterns);
+    let mut label_masks = vec![0u64; sim.output_count() * sim.words()];
+    for (p, &label) in labels.iter().enumerate() {
+        if label < sim.output_count() {
+            label_masks[label * sim.words() + p / 64] |= 1 << (p % 64);
+        }
+    }
+    // A sample is correct when exactly one class line is asserted and it
+    // is the label's: `decode_one_hot(outputs) == Some(label)`, 64 at once.
+    let accuracy = |sim: &FaultSim| -> f64 {
+        let correct: u32 = (0..sim.words())
+            .map(|w| {
+                let (mut one, mut two, mut hit) = (0u64, 0u64, 0u64);
+                for o in 0..sim.output_count() {
+                    let line = sim.output(o)[w];
+                    two |= one & line;
+                    one |= line;
+                    hit |= line & label_masks[o * sim.words() + w];
+                }
+                (hit & one & !two & sim.word_mask(w)).count_ones()
+            })
+            .sum();
+        correct as f64 / patterns.len() as f64
     };
 
-    let fault_free_accuracy = score(&|digits| netlist.eval(digits));
+    // Before any injection the outputs are the fault-free circuit's.
+    let fault_free_accuracy = accuracy(&sim);
     let faults = enumerate_faults(&netlist);
     if faults.is_empty() {
         return FaultRobustness {
@@ -102,48 +124,15 @@ pub fn fault_robustness(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRo
         };
     }
 
-    // Fault injections are independent — fan out across threads (same
-    // chunked scoped pattern as the explorer). Workers only *score*; the
-    // reduction below runs serially in fault order, so the result is
-    // identical to a serial campaign regardless of thread count.
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let chunk = faults.len().div_ceil(threads);
-    let accuracies: Vec<f64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = faults
-            .chunks(chunk.max(1))
-            .map(|chunk_faults| {
-                let encoded = &encoded;
-                let netlist = &netlist;
-                scope.spawn(move || {
-                    chunk_faults
-                        .iter()
-                        .map(|&fault| {
-                            let faulty = FaultyNetlist::new(netlist, fault);
-                            let correct = encoded
-                                .iter()
-                                .filter(|(digits, label)| {
-                                    decode_one_hot(&faulty.eval(digits)) == Some(*label)
-                                })
-                                .count();
-                            correct as f64 / encoded.len() as f64
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fault campaign worker panicked"))
-            .collect()
-    });
-
+    // One serial sweep: the campaign already runs one candidate per
+    // worker, and the reduction is in fault order.
     let mut sum = 0.0;
     let mut worst = f64::INFINITY;
     let mut worst_fault = None;
     let mut benign = 0usize;
-    for (&fault, &acc) in faults.iter().zip(&accuracies) {
+    for &fault in &faults {
+        sim.inject(fault);
+        let acc = accuracy(&sim);
         sum += acc;
         if acc < worst {
             worst = acc;
@@ -207,12 +196,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_campaign_matches_serial_reduction() {
+    fn bit_sliced_campaign_matches_serial_reduction() {
+        use printed_logic::faults::FaultyNetlist;
+
         let (tree, test) = setup();
         let report = fault_robustness(&tree, &test);
 
-        // The same campaign, run serially by hand — the fan-out must not
-        // change a single bit of the statistics.
+        // The same campaign, one sample and one fault at a time through
+        // the reference evaluator — the bit slicing must not change a
+        // single bit of the statistics.
         let classifier = UnaryClassifier::from_tree(&tree);
         let netlist = classifier.to_netlist();
         let encoded: Vec<(Vec<bool>, usize)> = test

@@ -4,7 +4,8 @@
 //! 0 or 1 is a realistic defect. This module enumerates single stuck-at
 //! faults over a netlist's gate outputs and evaluates the faulty circuit,
 //! so callers can measure behavioral impact (a classifier's accuracy under
-//! each fault, test-pattern coverage, etc.).
+//! each fault, test-pattern coverage, etc.). Whole campaigns run on the
+//! bit-sliced simulator in [`crate::sim`].
 //!
 //! ```
 //! use printed_logic::faults::{enumerate_faults, FaultyNetlist, StuckAt};
@@ -26,6 +27,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::netlist::{Netlist, Signal};
+use crate::sim::FaultSim;
 
 /// One single stuck-at fault: gate `gate`'s output forced to `value`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,7 +51,9 @@ pub fn enumerate_faults(netlist: &Netlist) -> Vec<StuckAt> {
         .collect()
 }
 
-/// A netlist view with one injected stuck-at fault.
+/// A netlist view with one injected stuck-at fault, evaluated one pattern
+/// at a time. Campaigns run on the bit-sliced [`FaultSim`]; this direct
+/// evaluator is the reference it is tested against.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultyNetlist<'a> {
     netlist: &'a Netlist,
@@ -144,31 +148,25 @@ impl FaultCampaign {
 /// Runs every single stuck-at fault against every stimulus pattern and
 /// reports detectability — both a manufacturing-test metric (coverage of a
 /// pattern set) and, via `mismatch_counts`, a behavioral-sensitivity
-/// profile (how often each fault corrupts the output in service).
+/// profile (how often each fault corrupts the output in service). The
+/// patterns are simulated 64 to a word on a [`FaultSim`].
 ///
 /// # Panics
 ///
 /// Panics if a pattern's length does not match the input count.
 pub fn fault_campaign(netlist: &Netlist, patterns: &[Vec<bool>]) -> FaultCampaign {
     let faults = enumerate_faults(netlist);
-    let golden: Vec<Vec<bool>> = patterns.iter().map(|p| netlist.eval(p)).collect();
-    let mut mismatch_counts = Vec::with_capacity(faults.len());
-    let mut detected = 0usize;
-    for &fault in &faults {
-        let faulty = FaultyNetlist::new(netlist, fault);
-        let mismatches = patterns
-            .iter()
-            .zip(&golden)
-            .filter(|(p, good)| &faulty.eval(p) != *good)
-            .count();
-        if mismatches > 0 {
-            detected += 1;
-        }
-        mismatch_counts.push(mismatches);
-    }
+    let mut sim = FaultSim::new(netlist, patterns);
+    let mismatch_counts: Vec<usize> = faults
+        .iter()
+        .map(|&fault| {
+            sim.inject(fault);
+            sim.mismatches()
+        })
+        .collect();
     FaultCampaign {
         total_faults: faults.len(),
-        detected,
+        detected: mismatch_counts.iter().filter(|&&c| c > 0).count(),
         mismatch_counts,
     }
 }

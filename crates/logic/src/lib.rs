@@ -14,6 +14,8 @@
 //!   lowering (the unary decision tree's two-level logic).
 //! * [`qm`] — exact Quine–McCluskey minimization for small functions.
 //! * [`report`] — area / static+dynamic power / critical path at 20 Hz.
+//! * [`sim`] — bit-sliced simulation (64 patterns per word) with single
+//!   stuck-at fault injection.
 //!
 //! ```
 //! use printed_logic::{blocks, netlist::Netlist, report};
@@ -38,6 +40,7 @@ pub mod faults;
 pub mod netlist;
 pub mod qm;
 pub mod report;
+pub mod sim;
 pub mod sop;
 pub mod verilog;
 

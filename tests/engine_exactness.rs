@@ -12,14 +12,18 @@
 //!    walk returns;
 //! 3. a fresh quick-grid sweep selects the same design — same grid
 //!    point, same area, power, and comparator count — as the committed
-//!    `BENCH_all.ndjson` baseline, i.e. 0.0% deterministic drift.
+//!    `BENCH_all.ndjson` baseline, i.e. 0.0% deterministic drift;
+//! 4. the bit-sliced stuck-at campaign reports exactly the statistics of
+//!    a serial per-sample, per-fault `FaultyNetlist` reduction.
 //!
 //! [`SplitEngine`]: printed_ml::dtree::cart::SplitEngine
 
 use printed_ml::codesign::explore::{explore, ExplorationConfig};
 use printed_ml::codesign::train::{train_adc_aware, train_adc_aware_reference, AdcAwareConfig};
-use printed_ml::codesign::UnaryClassifier;
-use printed_ml::datasets::Benchmark;
+use printed_ml::codesign::{decode_one_hot, fault_robustness, FaultRobustness, UnaryClassifier};
+use printed_ml::datasets::{Benchmark, QuantizedDataset};
+use printed_ml::dtree::DecisionTree;
+use printed_ml::logic::faults::{enumerate_faults, FaultyNetlist, StuckAt};
 use printed_ml::report::TraceStats;
 
 /// The registry resolution every baseline uses.
@@ -96,6 +100,90 @@ fn sweep_selection_matches_the_committed_suite_baseline() {
             system.comparator_count() as u64,
             baseline.comparators,
             "{benchmark}: comparator count drifted from the committed baseline"
+        );
+    }
+}
+
+/// The campaign as it was first written: every fault, every sample, one
+/// `FaultyNetlist::eval` each, reduced serially in fault order.
+fn serial_fault_reduction(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRobustness {
+    let classifier = UnaryClassifier::from_tree(tree);
+    let netlist = classifier.to_netlist();
+    let encoded: Vec<(Vec<bool>, usize)> = test
+        .iter()
+        .map(|(sample, label)| (classifier.encode_sample(sample), label))
+        .collect();
+    let score = |eval: &dyn Fn(&[bool]) -> Vec<bool>| -> f64 {
+        let correct = encoded
+            .iter()
+            .filter(|(digits, label)| decode_one_hot(&eval(digits)) == Some(*label))
+            .count();
+        correct as f64 / encoded.len() as f64
+    };
+    let fault_free_accuracy = score(&|digits| netlist.eval(digits));
+    let faults = enumerate_faults(&netlist);
+    let (mut sum, mut worst, mut worst_fault, mut benign) = (0.0, f64::INFINITY, None, 0usize);
+    for &fault in &faults {
+        let faulty = FaultyNetlist::new(&netlist, fault);
+        let acc = score(&|digits| faulty.eval(digits));
+        sum += acc;
+        if acc < worst {
+            worst = acc;
+            worst_fault = Some(fault);
+        }
+        if (acc - fault_free_accuracy).abs() < 1e-12 {
+            benign += 1;
+        }
+    }
+    let n = faults.len() as f64;
+    FaultRobustness {
+        fault_free_accuracy,
+        mean_accuracy: sum / n,
+        worst_accuracy: worst,
+        worst_fault,
+        fault_count: faults.len(),
+        benign_fraction: benign as f64 / n,
+    }
+}
+
+/// Every field, floats as their bit patterns.
+fn bits(r: &FaultRobustness) -> (u64, u64, u64, Option<StuckAt>, usize, u64) {
+    (
+        r.fault_free_accuracy.to_bits(),
+        r.mean_accuracy.to_bits(),
+        r.worst_accuracy.to_bits(),
+        r.worst_fault,
+        r.fault_count,
+        r.benign_fraction.to_bits(),
+    )
+}
+
+#[test]
+fn bit_sliced_fault_campaign_matches_the_serial_reference_on_every_benchmark() {
+    for benchmark in Benchmark::ALL {
+        let (train, test) = benchmark.load_quantized(BITS).expect("built-ins load");
+        // The per-sample reference is slow on the large test splits, so
+        // those stop at depth 4; the small sets go to the paper's cap.
+        let max_depth = match benchmark {
+            Benchmark::WhiteWine | Benchmark::Pendigits | Benchmark::Cardio => 4,
+            _ => 8,
+        };
+        let tree = train_adc_aware(
+            &train,
+            &AdcAwareConfig {
+                max_depth,
+                ..AdcAwareConfig::default()
+            },
+        );
+        let report = fault_robustness(&tree, &test);
+        assert!(
+            report.fault_count > 0,
+            "{benchmark}: a trained tree has gates"
+        );
+        assert_eq!(
+            bits(&report),
+            bits(&serial_fault_reduction(&tree, &test)),
+            "{benchmark} depth {max_depth}"
         );
     }
 }
