@@ -27,7 +27,7 @@
 //!
 //! [`Exploration::select_robust`]: crate::explore::Exploration::select_robust
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
@@ -40,11 +40,10 @@ use printed_telemetry::{keys, FieldValue, Recorder};
 
 use crate::checkpoint::RobustCheckpointLine;
 use crate::explore::Exploration;
-use crate::mismatch::{
-    accuracy_analog, mismatch_trials_recorded, nominal_thresholds, MismatchTrialStream,
-    MismatchTrials,
-};
-use crate::robustness::fault_robustness;
+use crate::mismatch::{MismatchTrialStream, MismatchTrials};
+use crate::robustness::fault_sweep;
+use crate::score::{Columns, Scorer};
+use crate::unary::UnaryClassifier;
 
 /// Comparator-threshold drift as the harvester's storage capacitor sags.
 ///
@@ -106,34 +105,42 @@ impl SupplyDroopModel {
         1.0 - self.harvester.min_voltage.volts() / self.harvester.full_voltage.volts()
     }
 
-    /// Effective thresholds of `tree`'s bespoke ADC bank at relative sag
-    /// `sag`.
-    fn thresholds_at(&self, tree: &DecisionTree, sag: f64) -> BTreeMap<(usize, u8), f64> {
-        nominal_thresholds(tree)
-            .into_iter()
-            .map(|(key, t)| {
-                (
-                    key,
-                    t * (1.0 - self.vref_leak * sag) - self.offset_per_sag * sag,
-                )
-            })
-            .collect()
-    }
-
     /// The droop margin: the largest relative sag (scanned in
     /// [`steps`](Self::steps) increments up to [`max_sag`](Self::max_sag))
-    /// at which `tree`'s accuracy on the analog `test` split stays within
-    /// [`tolerance`](Self::tolerance) of `nominal`. `0.0` means the design
-    /// only works at full storage voltage; the scan stops at the first
-    /// failing step (margins are reported conservatively, not for
-    /// non-monotone recoveries deeper into the sag).
+    /// at which the accuracy of `tree`'s printed netlist on the analog
+    /// `test` split stays within [`tolerance`](Self::tolerance) of
+    /// `nominal`. `0.0` means the design only works at full storage
+    /// voltage; the scan stops at the first failing step (margins are
+    /// reported conservatively, not for non-monotone recoveries deeper
+    /// into the sag).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `test` is empty or narrower than the tree's feature
+    /// space.
     pub fn margin(&self, tree: &DecisionTree, test: &Dataset, nominal: f64) -> f64 {
+        let test = Columns::new(test.iter(), test.n_features());
+        test.check(tree.n_features());
+        let classifier = UnaryClassifier::from_tree(tree);
+        let mut scorer = Scorer::new(classifier.literals(), &classifier.to_netlist());
+        self.margin_on(&mut scorer, &test, tree.bits(), nominal)
+    }
+
+    /// [`margin`](Self::margin) on a compiled candidate of a `bits`-bit
+    /// tree: at relative sag `s` an ideal threshold `t` becomes
+    /// `t·(1 − vref_leak·s) − offset_per_sag·s`.
+    fn margin_on(&self, scorer: &mut Scorer, test: &Columns<f64>, bits: u32, nominal: f64) -> f64 {
+        let ideal = scorer.ideal_thresholds(bits);
         let max_sag = self.max_sag();
         let mut margin = 0.0;
         for step in 1..=self.steps {
             let sag = max_sag * step as f64 / self.steps as f64;
-            let accuracy = accuracy_analog(tree, test, &self.thresholds_at(tree, sag));
-            if accuracy >= nominal - self.tolerance - 1e-12 {
+            let thresholds: Vec<f64> = ideal
+                .iter()
+                .map(|t| t * (1.0 - self.vref_leak * sag) - self.offset_per_sag * sag)
+                .collect();
+            scorer.load(test, &thresholds);
+            if scorer.accuracy() >= nominal - self.tolerance - 1e-12 {
                 margin = sag;
             } else {
                 break;
@@ -639,7 +646,7 @@ impl RobustnessCampaign {
 
     /// Profiles a single tree under this campaign (seeded with the
     /// campaign's base seed — sweep-level runs derive per-candidate
-    /// seeds instead).
+    /// seeds instead). Every trial runs; an adaptive budget is ignored.
     ///
     /// # Panics
     ///
@@ -654,103 +661,51 @@ impl RobustnessCampaign {
         recorder: &Recorder,
     ) -> RobustnessProfile {
         self.validate();
-        self.profile_with_seed(tree, test_q, test_analog, analog, recorder, self.seed)
-    }
-
-    fn profile_with_seed(
-        &self,
-        tree: &DecisionTree,
-        test_q: &QuantizedDataset,
-        test_analog: &Dataset,
-        analog: &AnalogModel,
-        recorder: &Recorder,
-        seed: u64,
-    ) -> RobustnessProfile {
-        let faults = fault_robustness(tree, test_q);
-        recorder.add(keys::FAULTS_INJECTED, faults.fault_count as u64);
-
-        // A constant tree has no thresholds to perturb: it yields by
-        // construction and droops only at the electrical limit.
-        let (nominal, mean, min, yield_estimate) = if tree.split_count() == 0 {
-            let nominal = accuracy_analog(tree, test_analog, &BTreeMap::new());
-            (nominal, nominal, nominal, 1.0)
-        } else {
-            let trials = mismatch_trials_recorded(
-                tree,
-                test_analog,
-                &self.mismatch,
-                self.trials,
-                seed,
-                analog,
-                recorder,
-            );
-            let report = trials.report();
-            (
-                trials.nominal,
-                report.mean,
-                report.min,
-                trials.yield_within(self.yield_loss),
-            )
-        };
-        let droop_margin = self.droop.margin(tree, test_analog, nominal);
-
-        RobustnessProfile {
-            nominal,
-            mean_under_mismatch: mean,
-            min_under_mismatch: min,
-            worst_single_fault: faults.worst_accuracy,
-            benign_fault_fraction: faults.benign_fraction,
-            droop_margin,
-            yield_estimate,
+        let columns = TestColumns::new(test_q, test_analog);
+        match self.evaluate(tree, &columns, analog, recorder, self.seed, None, (0.0, 0)) {
+            RobustCheckpointLine::Profiled(row) => row.profile,
+            RobustCheckpointLine::Pruned(_) => unreachable!("an exhaustive campaign never prunes"),
         }
     }
 
-    /// Evaluates one grid point under the campaign's policy: the full
-    /// exhaustive profile when no adaptive budget is attached, otherwise
-    /// probe pruning plus the sequential Monte Carlo with early exit.
+    /// Evaluates one grid point: the exhaustive profile without
+    /// `adaptive`, otherwise probe pruning plus the sequential Monte Carlo
+    /// with early exit. `tree`'s path netlist is compiled once; its fault
+    /// sweep, nominal score, mismatch trials and droop steps all run on
+    /// that tape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either split is empty or narrower than the tree.
     #[allow(clippy::too_many_arguments)]
-    fn evaluate_with_seed(
+    fn evaluate(
         &self,
         tree: &DecisionTree,
-        test_q: &QuantizedDataset,
-        test_analog: &Dataset,
+        columns: &TestColumns,
         analog: &AnalogModel,
         recorder: &Recorder,
         seed: u64,
-        tau: f64,
-        depth: usize,
-    ) -> PointEvaluation {
-        let Some(adaptive) = self.adaptive else {
-            let spent = if tree.split_count() == 0 {
-                0
-            } else {
-                self.trials
-            };
-            let profile = self.profile_with_seed(tree, test_q, test_analog, analog, recorder, seed);
-            return PointEvaluation::Profiled {
-                profile,
-                trials_spent: spent,
-            };
-        };
-
-        // Constant trees take the same shortcut as the exhaustive path.
-        if tree.split_count() == 0 {
-            let profile = self.profile_with_seed(tree, test_q, test_analog, analog, recorder, seed);
-            return PointEvaluation::Profiled {
-                profile,
-                trials_spent: 0,
-            };
-        }
-
-        // The stream computes the nominal accuracy up front without
-        // consuming any RNG — the probe's first input.
-        let mut stream =
-            MismatchTrialStream::new(tree, test_analog, &self.mismatch, seed, analog, recorder);
-        let nominal = stream.nominal();
+        adaptive: Option<AdaptiveBudget>,
+        (tau, depth): (f64, usize),
+    ) -> RobustCheckpointLine {
+        columns.quantized.check(tree.n_features());
+        columns.analog.check(tree.n_features());
+        let classifier = UnaryClassifier::from_tree(tree);
+        let netlist = classifier.to_netlist();
+        let mut scorer = Scorer::new(classifier.literals(), &netlist);
+        // The nominal accuracy costs no RNG — the probe's first input.
+        let nominal = scorer.nominal(&columns.analog, tree.bits());
+        // A constant tree has no thresholds to perturb: no probe, no trials.
+        let constant = classifier.literals().is_empty();
+        // Without a budget: every trial, no probe, no early exit.
+        let adaptive = adaptive.filter(|_| !constant).unwrap_or(AdaptiveBudget {
+            min_trials: self.trials,
+            ..AdaptiveBudget::new(self.trials)
+        });
         if adaptive.probe {
             if let Some(floor) = adaptive.robust_floor {
                 if nominal < floor - 1e-12 {
-                    return PointEvaluation::Pruned(PrunedPoint {
+                    return RobustCheckpointLine::Pruned(PrunedPoint {
                         tau,
                         depth,
                         reason: PruneReason::NominalBelowFloor,
@@ -760,11 +715,13 @@ impl RobustnessCampaign {
                 }
             }
         }
-        let droop_margin = self.droop.margin(tree, test_analog, nominal);
+        let droop_margin = self
+            .droop
+            .margin_on(&mut scorer, &columns.analog, tree.bits(), nominal);
         if adaptive.probe {
             if let Some(min_droop) = adaptive.constraints.min_droop_margin {
                 if droop_margin < min_droop - 1e-12 {
-                    return PointEvaluation::Pruned(PrunedPoint {
+                    return RobustCheckpointLine::Pruned(PrunedPoint {
                         tau,
                         depth,
                         reason: PruneReason::DroopMargin,
@@ -775,8 +732,35 @@ impl RobustnessCampaign {
             }
         }
 
-        let faults = fault_robustness(tree, test_q);
+        let faults = fault_sweep(&mut scorer, &netlist, &columns.quantized);
         recorder.add(keys::FAULTS_INJECTED, faults.fault_count as u64);
+        if constant {
+            // It yields by construction and droops only at the electrical
+            // limit.
+            return RobustCheckpointLine::Profiled(CandidateRobustness {
+                tau,
+                depth,
+                profile: RobustnessProfile {
+                    nominal,
+                    mean_under_mismatch: nominal,
+                    min_under_mismatch: nominal,
+                    worst_single_fault: faults.worst_accuracy,
+                    benign_fault_fraction: faults.benign_fraction,
+                    droop_margin,
+                    yield_estimate: 1.0,
+                },
+                trials_spent: 0,
+            });
+        }
+        let mut stream = MismatchTrialStream::compiled(
+            &classifier,
+            scorer,
+            Cow::Borrowed(&columns.analog),
+            &self.mismatch,
+            seed,
+            analog,
+            recorder,
+        );
         // Deterministic metrics gate exactly: a violated droop or
         // worst-fault bound is a zero-width "confidence interval" that
         // already proves the reject, so the Monte Carlo only needs the
@@ -860,10 +844,12 @@ impl RobustnessCampaign {
             droop_margin,
             yield_estimate: trials.yield_within(self.yield_loss),
         };
-        PointEvaluation::Profiled {
+        RobustCheckpointLine::Profiled(CandidateRobustness {
+            tau,
+            depth,
             profile,
             trials_spent,
-        }
+        })
     }
 
     /// Runs the campaign over every candidate of `sweep` with default
@@ -914,6 +900,7 @@ impl RobustnessCampaign {
         use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
         self.validate();
+        let columns = &TestColumns::new(test_q, test_analog);
         let candidates = &sweep.candidates;
         let stamp = self.checkpoint_stamp();
         let completed: std::collections::HashMap<(usize, u64), RobustCheckpointLine> =
@@ -970,13 +957,8 @@ impl RobustnessCampaign {
                                 recorder.add(keys::ROBUST_CHECKPOINT_HITS, 1);
                                 line.clone()
                             } else {
-                                let line = self.evaluate_candidate(
-                                    candidate,
-                                    test_q,
-                                    test_analog,
-                                    analog,
-                                    recorder,
-                                );
+                                let line =
+                                    self.evaluate_candidate(candidate, columns, analog, recorder);
                                 if let Some(sink) = checkpoint_sink {
                                     use std::io::Write;
                                     let encoded = line.encode(stamp);
@@ -1078,8 +1060,7 @@ impl RobustnessCampaign {
     fn evaluate_candidate(
         &self,
         candidate: &crate::explore::CandidateDesign,
-        test_q: &QuantizedDataset,
-        test_analog: &Dataset,
+        columns: &TestColumns,
         analog: &AnalogModel,
         recorder: &Recorder,
     ) -> RobustCheckpointLine {
@@ -1090,36 +1071,27 @@ impl RobustnessCampaign {
             .span(keys::ROBUST_SPAN)
             .field("depth", candidate.depth)
             .field("tau", candidate.tau);
-        let evaluation = self.evaluate_with_seed(
+        let line = self.evaluate(
             &candidate.tree,
-            test_q,
-            test_analog,
+            columns,
             analog,
             recorder,
             seed,
-            candidate.tau,
-            candidate.depth,
+            self.adaptive,
+            (candidate.tau, candidate.depth),
         );
-        match evaluation {
-            PointEvaluation::Profiled {
-                profile,
-                trials_spent,
-            } => {
+        match &line {
+            RobustCheckpointLine::Profiled(row) => {
+                let profile = &row.profile;
                 span.field("nominal", profile.nominal)
                     .field("mean_mismatch", profile.mean_under_mismatch)
                     .field("worst_fault", profile.worst_single_fault)
                     .field("droop_margin", profile.droop_margin)
                     .field("yield_est", profile.yield_estimate)
-                    .field("trials_spent", trials_spent as u64)
+                    .field("trials_spent", row.trials_spent as u64)
                     .finish();
-                RobustCheckpointLine::Profiled(CandidateRobustness {
-                    tau: candidate.tau,
-                    depth: candidate.depth,
-                    profile,
-                    trials_spent,
-                })
             }
-            PointEvaluation::Pruned(point) => {
+            RobustCheckpointLine::Pruned(point) => {
                 span.field("pruned", point.reason.as_str().to_owned())
                     .field("nominal", point.nominal)
                     .finish();
@@ -1137,9 +1109,9 @@ impl RobustnessCampaign {
                 }
                 recorder.event(keys::ROBUST_PRUNED_EVENT, fields);
                 recorder.add(keys::ROBUST_PRUNED, 1);
-                RobustCheckpointLine::Pruned(point)
             }
         }
+        line
     }
 }
 
@@ -1151,13 +1123,20 @@ enum TermStatus {
     Open,
 }
 
-/// How a grid point's evaluation resolved.
-enum PointEvaluation {
-    Profiled {
-        profile: RobustnessProfile,
-        trials_spent: usize,
-    },
-    Pruned(PrunedPoint),
+/// The campaign's test splits, transposed once for every candidate's
+/// tape.
+struct TestColumns {
+    quantized: Columns<u8>,
+    analog: Columns<f64>,
+}
+
+impl TestColumns {
+    fn new(test_q: &QuantizedDataset, test_analog: &Dataset) -> Self {
+        Self {
+            quantized: Columns::new(test_q.iter(), test_q.n_features()),
+            analog: Columns::new(test_analog.iter(), test_analog.n_features()),
+        }
+    }
 }
 
 impl Default for RobustnessCampaign {
@@ -1255,7 +1234,11 @@ mod tests {
     fn droop_margin_shrinks_with_leakier_references() {
         let (sweep, _test_q, test_analog) = small_sweep();
         let tree = &sweep.most_accurate().unwrap().tree;
-        let nominal = accuracy_analog(tree, &test_analog, &nominal_thresholds(tree));
+        let recorder = Recorder::disabled();
+        let model = MismatchModel::none();
+        let analog = AnalogModel::egfet();
+        let nominal =
+            MismatchTrialStream::new(tree, &test_analog, &model, 0, &analog, &recorder).nominal();
         let mild = SupplyDroopModel::printed_default();
         let harsh = SupplyDroopModel {
             vref_leak: 0.9,
@@ -1275,6 +1258,50 @@ mod tests {
             ..mild
         };
         assert!((ideal.margin(tree, &test_analog, nominal) - ideal.max_sag()).abs() < 1e-12);
+    }
+
+    /// An empty split of `data`'s shape: the last of `k` folds is empty
+    /// when `(k − 1)·⌈len/k⌉ = len`.
+    fn empty_split(data: &Dataset) -> Dataset {
+        let len = data.len();
+        let k = (2..=len)
+            .find(|&k| (k - 1) * len.div_ceil(k) == len)
+            .expect("a fold count leaves the last fold empty");
+        let (_, empty) = data.k_folds(k, 0).unwrap().pop().unwrap();
+        assert!(empty.is_empty());
+        empty
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot score an empty dataset")]
+    fn droop_margin_rejects_an_empty_split() {
+        let (sweep, _, test_analog) = small_sweep();
+        let tree = &sweep.most_accurate().unwrap().tree;
+        SupplyDroopModel::printed_default().margin(tree, &empty_split(&test_analog), 0.9);
+    }
+
+    #[test]
+    #[should_panic(expected = "dataset narrower than the tree")]
+    fn droop_margin_rejects_a_narrow_split() {
+        let (sweep, _, _) = small_sweep();
+        let tree = &sweep.most_accurate().unwrap().tree;
+        let narrow = Dataset::from_rows("narrow", 1, vec![(vec![0.5], 0)]).unwrap();
+        SupplyDroopModel::printed_default().margin(tree, &narrow, 0.9);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot score an empty dataset")]
+    fn constant_tree_profile_rejects_an_empty_analog_split() {
+        let (_, test_q) = Benchmark::Seeds.load_quantized(4).unwrap();
+        let (_, test_analog) = Benchmark::Seeds.load_split().unwrap();
+        let tree = DecisionTree::constant(4, test_q.n_features(), test_q.n_classes(), 0);
+        RobustnessCampaign::quick().profile_tree(
+            &tree,
+            &test_q,
+            &empty_split(&test_analog),
+            &AnalogModel::egfet(),
+            &Recorder::disabled(),
+        );
     }
 
     #[test]
@@ -1586,17 +1613,12 @@ mod tests {
                 &analog,
                 &Recorder::disabled(),
             );
+            let columns = TestColumns::new(&test_q, &test_analog);
             let serial: Vec<RobustCheckpointLine> = sweep
                 .candidates
                 .iter()
                 .map(|candidate| {
-                    campaign.evaluate_candidate(
-                        candidate,
-                        &test_q,
-                        &test_analog,
-                        &analog,
-                        &Recorder::disabled(),
-                    )
+                    campaign.evaluate_candidate(candidate, &columns, &analog, &Recorder::disabled())
                 })
                 .collect();
             assert_eq!(parallel, campaign.assemble(&sweep.candidates, serial));

@@ -55,6 +55,7 @@ use printed_telemetry::{keys, FieldValue, Progress, Recorder};
 
 use crate::campaign::{CampaignOutcome, RobustnessConstraints};
 use crate::checkpoint::{self, CheckpointLine};
+use crate::score::{Columns, Scorer};
 use crate::system::{synthesize_unary_parts, UnarySystem};
 use crate::train::{train_adc_aware_annotated_with_index, AdcAwareConfig, AnnotatedTree};
 
@@ -556,6 +557,8 @@ fn explore_core(
     // same feature-major columns and prefix sums (read-only, Sync).
     let train_index = DatasetIndex::new(train_data);
     let train_index = &train_index;
+    // Likewise one transposed test split for every candidate's scorer.
+    let test_columns = &Columns::new(test_data.iter(), test_data.n_features());
     type WorkerYield = (
         Vec<CandidateDesign>,
         Vec<FailedCandidate>,
@@ -755,12 +758,14 @@ fn explore_core(
                                         let (system, netlist) = synthesize_unary_parts(
                                             &tree, library, analog, analysis,
                                         );
-                                        // Packed word-parallel scoring;
-                                        // bit-equal to tree.accuracy (the
-                                        // covers are exact indicator
-                                        // functions of the tree's regions).
-                                        let test_accuracy =
-                                            system.classifier.packed().accuracy(test_data);
+                                        // The netlist on the tape; bit-equal
+                                        // to tree.accuracy (every path is
+                                        // one AND of the walk's comparisons).
+                                        test_columns.check(tree.n_features());
+                                        let mut scorer =
+                                            Scorer::new(system.classifier.literals(), &netlist);
+                                        scorer.load_quantized(test_columns);
+                                        let test_accuracy = scorer.accuracy();
                                         candidate_us.observe(
                                             span.field("accuracy", test_accuracy)
                                                 .field("comparators", system.comparator_count())

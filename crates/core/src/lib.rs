@@ -44,6 +44,7 @@ pub mod flow;
 pub mod lint;
 pub mod mismatch;
 pub mod robustness;
+mod score;
 pub mod serial;
 pub mod system;
 pub mod train;

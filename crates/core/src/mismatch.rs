@@ -4,8 +4,8 @@
 //! deployment is how robust the co-designed classifier is to printed
 //! resistor mismatch and comparator offset. This module Monte-Carlo-samples
 //! the bespoke front-end (shared perturbed ladder + per-comparator offsets)
-//! and re-scores the tree on *analog* test inputs, where every decision
-//! boundary has drifted to its sampled effective threshold.
+//! and re-scores the tree's printed netlist on *analog* test inputs, where
+//! every decision boundary has drifted to its sampled effective threshold.
 //!
 //! ```no_run
 //! use printed_analog::MismatchModel;
@@ -22,7 +22,7 @@
 //! # Ok::<(), printed_datasets::DatasetError>(())
 //! ```
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,9 +34,10 @@ use printed_analog::ladder::Ladder;
 use printed_analog::mc::sample_normal;
 use printed_analog::MismatchModel;
 use printed_datasets::Dataset;
-use printed_dtree::{DecisionTree, Node};
+use printed_dtree::DecisionTree;
 use printed_pdk::AnalogModel;
 
+use crate::score::{Columns, Scorer};
 use crate::unary::UnaryClassifier;
 
 /// Monte-Carlo accuracy statistics.
@@ -128,42 +129,6 @@ impl MismatchTrials {
     }
 }
 
-/// Predicts with explicit per-(feature, tap) effective thresholds in
-/// normalized-volts space.
-pub(crate) fn predict_analog(
-    tree: &DecisionTree,
-    sample: &[f64],
-    thresholds: &BTreeMap<(usize, u8), f64>,
-) -> usize {
-    let mut i = 0;
-    loop {
-        match tree.nodes()[i] {
-            Node::Leaf { class } => return class,
-            Node::Split {
-                feature,
-                threshold,
-                lo,
-                hi,
-            } => {
-                let t = thresholds[&(feature, threshold)];
-                i = if sample[feature] >= t { hi } else { lo };
-            }
-        }
-    }
-}
-
-pub(crate) fn accuracy_analog(
-    tree: &DecisionTree,
-    data: &Dataset,
-    thresholds: &BTreeMap<(usize, u8), f64>,
-) -> f64 {
-    let correct = data
-        .iter()
-        .filter(|(sample, label)| predict_analog(tree, sample, thresholds) == *label)
-        .count();
-    correct as f64 / data.len() as f64
-}
-
 /// Runs `trials` Monte-Carlo samples of the bespoke front-end under
 /// `mismatch` and scores `tree` on the normalized (analog) `test` split.
 ///
@@ -182,30 +147,12 @@ pub fn mismatch_accuracy(
     trials: usize,
     seed: u64,
 ) -> MismatchReport {
-    mismatch_accuracy_with(tree, test, mismatch, trials, seed, &AnalogModel::egfet())
+    let (analog, recorder) = (AnalogModel::egfet(), Recorder::disabled());
+    mismatch_accuracy_recorded(tree, test, mismatch, trials, seed, &analog, &recorder)
 }
 
-/// [`mismatch_accuracy`] under an explicit analog model.
-pub fn mismatch_accuracy_with(
-    tree: &DecisionTree,
-    test: &Dataset,
-    mismatch: &MismatchModel,
-    trials: usize,
-    seed: u64,
-    analog: &AnalogModel,
-) -> MismatchReport {
-    mismatch_accuracy_recorded(
-        tree,
-        test,
-        mismatch,
-        trials,
-        seed,
-        analog,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`mismatch_accuracy_with`] plus instrumentation: every trial bumps
+/// [`mismatch_accuracy`] under an explicit analog model, plus
+/// instrumentation: every trial bumps
 /// [`printed_telemetry::keys::MC_TRIALS`] (and `MC_FAILURES` on solve
 /// failures) through the shared Monte-Carlo counters in `printed-analog`.
 /// The report is bit-identical to the unrecorded variants.
@@ -220,16 +167,6 @@ pub fn mismatch_accuracy_recorded(
     recorder: &Recorder,
 ) -> MismatchReport {
     mismatch_trials_recorded(tree, test, mismatch, trials, seed, analog, recorder).report()
-}
-
-/// The ideal (unperturbed) effective thresholds of `tree`'s bespoke ADC
-/// bank, in normalized-volts space: tap `c` sits at `c / 2^bits`.
-pub(crate) fn nominal_thresholds(tree: &DecisionTree) -> BTreeMap<(usize, u8), f64> {
-    let full = (1u64 << tree.bits()) as f64;
-    tree.distinct_pairs()
-        .into_iter()
-        .map(|(f, c)| ((f, c), c as f64 / full))
-        .collect()
 }
 
 /// [`mismatch_accuracy_recorded`] without the summary step: returns every
@@ -276,12 +213,14 @@ pub fn mismatch_trials_recorded(
 /// narrower than the tree's feature space (same contract as
 /// [`mismatch_accuracy`], minus the trial count).
 pub struct MismatchTrialStream<'a> {
-    tree: &'a DecisionTree,
-    test: &'a Dataset,
     mismatch: &'a MismatchModel,
     recorder: &'a Recorder,
     ladder: Ladder,
     rng: StdRng,
+    /// Each literal's tap, as an index into the ladder's retained taps.
+    tap_index: Vec<usize>,
+    scorer: Scorer,
+    test: Cow<'a, Columns<f64>>,
     nominal: f64,
 }
 
@@ -300,33 +239,58 @@ impl<'a> MismatchTrialStream<'a> {
             tree.split_count() > 0,
             "a constant tree has no thresholds to perturb"
         );
-        assert!(!test.is_empty(), "cannot score an empty dataset");
-        assert!(
-            test.n_features() >= tree.n_features(),
-            "dataset narrower than the tree"
-        );
+        let test = Columns::new(test.iter(), test.n_features());
+        test.check(tree.n_features());
+        let classifier = UnaryClassifier::from_tree(tree);
+        let scorer = Scorer::new(classifier.literals(), &classifier.to_netlist());
+        Self::compiled(
+            &classifier,
+            scorer,
+            Cow::Owned(test),
+            mismatch,
+            seed,
+            analog,
+            recorder,
+        )
+    }
 
-        let bank = UnaryClassifier::from_tree(tree).adc_bank();
-        let distinct = bank.distinct_taps();
+    /// [`new`](Self::new) on a candidate already compiled to `scorer`,
+    /// which the stream takes over.
+    pub(crate) fn compiled(
+        classifier: &UnaryClassifier,
+        mut scorer: Scorer,
+        test: Cow<'a, Columns<f64>>,
+        mismatch: &'a MismatchModel,
+        seed: u64,
+        analog: &AnalogModel,
+        recorder: &'a Recorder,
+    ) -> Self {
         let ladder = Ladder::pruned(
-            tree.bits(),
-            &distinct,
+            classifier.bits(),
+            &classifier.adc_bank().distinct_taps(),
             analog.supply.volts(),
             analog.unit_resistor.ohms(),
         )
         .expect("tree taps are valid");
-
-        // Nominal thresholds: ideal tap voltages.
-        let nominal = accuracy_analog(tree, test, &nominal_thresholds(tree));
-
+        let tap_index = classifier
+            .literals()
+            .iter()
+            .map(|&(_, tap)| {
+                ladder
+                    .taps()
+                    .binary_search(&(tap as usize))
+                    .expect("every literal's tap is on the ladder")
+            })
+            .collect();
         Self {
-            tree,
-            test,
+            nominal: scorer.nominal(&test, classifier.bits()),
             mismatch,
             recorder,
             ladder,
             rng: StdRng::seed_from_u64(seed),
-            nominal,
+            tap_index,
+            scorer,
+            test,
         }
     }
 
@@ -335,30 +299,26 @@ impl<'a> MismatchTrialStream<'a> {
         self.nominal
     }
 
-    /// Samples one perturbed front-end and scores the tree on it.
+    /// Samples one perturbed front-end and scores the printed netlist on
+    /// it.
     pub fn next_accuracy(&mut self) -> f64 {
         // Shared perturbed ladder: one vref per distinct tap.
         let sample = self
             .mismatch
             .sample_recorded(&self.ladder, &mut self.rng, self.recorder)
             .expect("perturbed ladder solves");
-        let vref: BTreeMap<usize, f64> = sample
-            .taps()
+        // Per-comparator offsets on top, drawn in literal order.
+        let thresholds: Vec<f64> = self
+            .tap_index
             .iter()
-            .map(|t| (t.tap, t.vref_volts))
-            .collect();
-        // Per-comparator offsets on top.
-        let thresholds: BTreeMap<(usize, u8), f64> = self
-            .tree
-            .distinct_pairs()
-            .into_iter()
-            .map(|(f, c)| {
+            .map(|&tap| {
                 let offset =
                     sample_normal(&mut self.rng, 0.0, self.mismatch.comparator_offset_sigma_v);
-                ((f, c), vref[&(c as usize)] - offset)
+                sample.taps()[tap].vref_volts - offset
             })
             .collect();
-        accuracy_analog(self.tree, self.test, &thresholds)
+        self.scorer.load(&self.test, &thresholds);
+        self.scorer.accuracy()
     }
 }
 

@@ -25,8 +25,9 @@ use serde::{Deserialize, Serialize};
 use printed_datasets::QuantizedDataset;
 use printed_dtree::DecisionTree;
 use printed_logic::faults::{enumerate_faults, StuckAt};
-use printed_logic::sim::FaultSim;
+use printed_logic::netlist::Netlist;
 
+use crate::score::{Columns, Scorer};
 use crate::unary::UnaryClassifier;
 
 /// Accuracy statistics of a single-stuck-at fault campaign.
@@ -71,48 +72,24 @@ pub fn decode_one_hot(outputs: &[bool]) -> Option<usize> {
 ///
 /// Panics if `test` is empty or narrower than the tree's feature space.
 pub fn fault_robustness(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRobustness {
-    assert!(!test.is_empty(), "cannot score an empty dataset");
-    assert!(
-        test.n_features() >= tree.n_features(),
-        "dataset narrower than the tree"
-    );
+    let test = Columns::new(test.iter(), test.n_features());
+    test.check(tree.n_features());
     let classifier = UnaryClassifier::from_tree(tree);
     let netlist = classifier.to_netlist();
+    let mut scorer = Scorer::new(classifier.literals(), &netlist);
+    fault_sweep(&mut scorer, &netlist, &test)
+}
 
-    // Encode the split once: the literal patterns for the simulator, and
-    // one bit mask per class line marking the samples labelled with it.
-    let (patterns, labels): (Vec<Vec<bool>>, Vec<usize>) = test
-        .iter()
-        .map(|(sample, label)| (classifier.encode_sample(sample), label))
-        .unzip();
-    let mut sim = FaultSim::new(&netlist, &patterns);
-    let mut label_masks = vec![0u64; sim.output_count() * sim.words()];
-    for (p, &label) in labels.iter().enumerate() {
-        if label < sim.output_count() {
-            label_masks[label * sim.words() + p / 64] |= 1 << (p % 64);
-        }
-    }
-    // A sample is correct when exactly one class line is asserted and it
-    // is the label's: `decode_one_hot(outputs) == Some(label)`, 64 at once.
-    let accuracy = |sim: &FaultSim| -> f64 {
-        let correct: u32 = (0..sim.words())
-            .map(|w| {
-                let (mut one, mut two, mut hit) = (0u64, 0u64, 0u64);
-                for o in 0..sim.output_count() {
-                    let line = sim.output(o)[w];
-                    two |= one & line;
-                    one |= line;
-                    hit |= line & label_masks[o * sim.words() + w];
-                }
-                (hit & one & !two & sim.word_mask(w)).count_ones()
-            })
-            .sum();
-        correct as f64 / patterns.len() as f64
-    };
-
-    // Before any injection the outputs are the fault-free circuit's.
-    let fault_free_accuracy = accuracy(&sim);
-    let faults = enumerate_faults(&netlist);
+/// [`fault_robustness`] on a compiled candidate: `scorer` holds
+/// `netlist`'s tape, and `test` is the quantized split.
+pub(crate) fn fault_sweep(
+    scorer: &mut Scorer,
+    netlist: &Netlist,
+    test: &Columns<u8>,
+) -> FaultRobustness {
+    scorer.load_quantized(test);
+    let fault_free_accuracy = scorer.accuracy();
+    let faults = enumerate_faults(netlist);
     if faults.is_empty() {
         return FaultRobustness {
             fault_free_accuracy,
@@ -131,8 +108,8 @@ pub fn fault_robustness(tree: &DecisionTree, test: &QuantizedDataset) -> FaultRo
     let mut worst_fault = None;
     let mut benign = 0usize;
     for &fault in &faults {
-        sim.inject(fault);
-        let acc = accuracy(&sim);
+        scorer.sim.inject(fault);
+        let acc = scorer.accuracy();
         sum += acc;
         if acc < worst {
             worst = acc;

@@ -32,7 +32,10 @@ use printed_adc::BespokeAdcBank;
 use printed_datasets::QuantizedDataset;
 use printed_dtree::DecisionTree;
 use printed_logic::netlist::Netlist;
-use printed_logic::sop::{Cube, PackedCover, Sop};
+use printed_logic::sim::FaultSim;
+use printed_logic::sop::{Cube, Sop};
+
+use crate::score::{Columns, Scorer};
 
 /// A decision tree re-expressed as per-class two-level logic over unary
 /// literals.
@@ -201,12 +204,7 @@ impl UnaryClassifier {
     /// bespoke ADC comparators. Outputs: one one-hot signal per class.
     pub fn to_netlist(&self) -> Netlist {
         let timer = printed_telemetry::KernelTimer::start(printed_telemetry::Kernel::NetlistSynth);
-        let mut nl = Netlist::new(format!("unary-{}lit", self.literals.len()));
-        let vars: Vec<_> = self
-            .literals
-            .iter()
-            .map(|&(f, tap)| nl.input(format!("u{f}_{tap}")))
-            .collect();
+        let (mut nl, vars) = self.literal_netlist("unary");
         let mut class_terms: Vec<Vec<printed_logic::Signal>> =
             vec![Vec::new(); self.class_sops.len()];
         for (lits, class) in &self.paths {
@@ -230,23 +228,39 @@ impl UnaryClassifier {
         nl
     }
 
+    /// A netlist named `{prefix}-{n}lit` whose inputs are the literals in
+    /// order, named `u{feature}_{tap}`.
+    fn literal_netlist(&self, prefix: &str) -> (Netlist, Vec<printed_logic::Signal>) {
+        let mut nl = Netlist::new(format!("{prefix}-{}lit", self.literals.len()));
+        let vars = self
+            .literals
+            .iter()
+            .map(|&(f, tap)| nl.input(format!("u{f}_{tap}")))
+            .collect();
+        (nl, vars)
+    }
+
+    /// Lowers one cover per class output, AND–OR or NAND–NAND.
+    fn lower_covers(&self, prefix: &str, covers: &[Sop], nand_nand: bool) -> Netlist {
+        let (mut nl, vars) = self.literal_netlist(prefix);
+        for (class, sop) in covers.iter().enumerate() {
+            let out = if nand_nand {
+                sop.lower_nand_nand(&mut nl, &vars)
+            } else {
+                sop.lower(&mut nl, &vars)
+            };
+            nl.output(format!("class{class}"), out);
+        }
+        nl.prune();
+        nl
+    }
+
     /// Lowers the classifier to pure two-level logic (one AND tree per
     /// simplified cube, one OR per class) with no cross-cube sharing — the
     /// textbook AND–OR form, kept as an ablation target against
     /// [`UnaryClassifier::to_netlist`]'s prefix-shared structure.
     pub fn to_two_level_netlist(&self) -> Netlist {
-        let mut nl = Netlist::new(format!("unary2l-{}lit", self.literals.len()));
-        let vars: Vec<_> = self
-            .literals
-            .iter()
-            .map(|&(f, tap)| nl.input(format!("u{f}_{tap}")))
-            .collect();
-        for (class, sop) in self.class_sops.iter().enumerate() {
-            let out = sop.lower(&mut nl, &vars);
-            nl.output(format!("class{class}"), out);
-        }
-        nl.prune();
-        nl
+        self.lower_covers("unary2l", &self.class_sops, false)
     }
 
     /// Lowers the classifier in NAND–NAND form — the inverting-stage-native
@@ -254,18 +268,7 @@ impl UnaryClassifier {
     /// [`printed_logic::sop::Sop::lower_nand_nand`]). Same function as
     /// [`UnaryClassifier::to_two_level_netlist`], usually cheaper.
     pub fn to_nand_nand_netlist(&self) -> Netlist {
-        let mut nl = Netlist::new(format!("unarynn-{}lit", self.literals.len()));
-        let vars: Vec<_> = self
-            .literals
-            .iter()
-            .map(|&(f, tap)| nl.input(format!("u{f}_{tap}")))
-            .collect();
-        for (class, sop) in self.class_sops.iter().enumerate() {
-            let out = sop.lower_nand_nand(&mut nl, &vars);
-            nl.output(format!("class{class}"), out);
-        }
-        nl.prune();
-        nl
+        self.lower_covers("unarynn", &self.class_sops, true)
     }
 
     /// Encodes a quantized sample as the netlist input assignment (the
@@ -312,10 +315,19 @@ impl UnaryClassifier {
         if n == 0 {
             return Some(self.class_sops.clone());
         }
-        // The 2^n sweep runs on packed covers: each minterm `m` *is* the
-        // packed assignment word, feasibility is one mask expression, and
-        // cover membership is word compares — no per-minterm Vec<bool>.
-        let packed: Vec<PackedCover> = self.class_sops.iter().map(PackedCover::from_sop).collect();
+        // The 2^n sweep runs the path netlist on the tape: input `i` of
+        // counting pattern `m` is bit `i` of minterm `m`.
+        let count = 1usize << n;
+        let words: Vec<u64> = (0..n)
+            .flat_map(|i| {
+                (0..count.div_ceil(64)).map(move |w| {
+                    (0..64).fold(0, |word, bit| {
+                        word | ((((64 * w + bit) >> i) & 1) as u64) << bit
+                    })
+                })
+            })
+            .collect();
+        let sim = FaultSim::from_words(&self.to_netlist(), count, &words);
         // `adj` marks literals sharing a feature with their predecessor
         // (literals are sorted by (feature, tap), so a feature's taps form
         // one ascending run). Thermometer-infeasible ⇔ some marked literal
@@ -329,15 +341,15 @@ impl UnaryClassifier {
         }
         let mut onsets: Vec<Vec<u32>> = vec![Vec::new(); self.class_sops.len()];
         let mut dc: Vec<u32> = Vec::new();
-        for m in 0..(1u32 << n) {
+        for m in 0..count {
             let w = m as u64;
             if (w & adj) & !(w << 1) != 0 {
-                dc.push(m);
+                dc.push(m as u32);
                 continue;
             }
-            for (class, cover) in packed.iter().enumerate() {
-                if cover.eval_words(&[w]) {
-                    onsets[class].push(m);
+            for (class, onset) in onsets.iter_mut().enumerate() {
+                if (sim.output(class)[m / 64] >> (m % 64)) & 1 == 1 {
+                    onset.push(m as u32);
                 }
             }
         }
@@ -349,16 +361,13 @@ impl UnaryClassifier {
         )
     }
 
-    /// Compiles the classifier's covers to bit-parallel word masks for
-    /// fast repeated prediction — the hot shape for grid accuracy scoring.
+    /// The classifier's path netlist, ready to score splits on the
+    /// bit-sliced tape.
     pub fn packed(&self) -> PackedClassifier {
-        let covers: Vec<PackedCover> = self.class_sops.iter().map(PackedCover::from_sop).collect();
-        let words = PackedCover::words_for(self.literals.len());
         PackedClassifier {
             n_features: self.n_features,
             literals: self.literals.clone(),
-            covers,
-            words,
+            netlist: self.to_netlist(),
         }
     }
 
@@ -372,122 +381,38 @@ impl UnaryClassifier {
     /// ADC bank can produce.
     pub fn to_minimized_netlist(&self, max_literals: usize) -> Option<Netlist> {
         let covers = self.minimized_covers(max_literals)?;
-        let mut nl = Netlist::new(format!("unaryqm-{}lit", self.literals.len()));
-        let vars: Vec<_> = self
-            .literals
-            .iter()
-            .map(|&(f, tap)| nl.input(format!("u{f}_{tap}")))
-            .collect();
-        for (class, sop) in covers.iter().enumerate() {
-            let out = sop.lower_nand_nand(&mut nl, &vars);
-            nl.output(format!("class{class}"), out);
-        }
-        nl.prune();
-        Some(nl)
+        Some(self.lower_covers("unaryqm", &covers, true))
     }
 }
 
-/// A [`UnaryClassifier`] compiled to bit-packed thermometer words: the
-/// literal assignment of a sample is a `u64` word vector (bit `v` =
-/// `sample[f_v] ≥ tap_v`) and every class cover is a [`PackedCover`], so
-/// one prediction is a handful of word AND+compare operations.
+/// A [`UnaryClassifier`]'s path netlist ([`UnaryClassifier::to_netlist`])
+/// for scoring on the bit-sliced tape, 64 samples per word.
 ///
-/// Exact: [`predict`](Self::predict) returns precisely what
-/// [`UnaryClassifier::predict`] returns on every sample (the packing and
-/// the packed cover evaluation are both exact — pinned by tests), so
-/// [`accuracy`](Self::accuracy) equals the unpacked score and, for
-/// classifiers built from a tree, the tree's own accuracy.
+/// Exact: a sample counts as correct when exactly its label's class line
+/// is asserted, so for classifiers built from a tree
+/// [`accuracy`](Self::accuracy) equals `tree.accuracy(data)` bit for bit
+/// (pinned by tests).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedClassifier {
     n_features: usize,
     literals: Vec<(usize, u8)>,
-    covers: Vec<PackedCover>,
-    words: usize,
+    netlist: Netlist,
 }
 
 impl PackedClassifier {
-    /// Feature-space dimensionality.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.covers.len()
-    }
-
-    /// Words per packed literal assignment.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// Packs a quantized sample's thermometer assignment into `out`
-    /// (cleared and refilled): bit `v` is `sample[f] ≥ tap` for literal
-    /// `v = (f, tap)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample.len() < self.n_features()`.
-    pub fn assignment_into(&self, sample: &[u8], out: &mut Vec<u64>) {
-        assert!(sample.len() >= self.n_features, "sample too short");
-        out.clear();
-        out.resize(self.words, 0);
-        for (v, &(f, tap)) in self.literals.iter().enumerate() {
-            if sample[f] >= tap {
-                out[v / 64] |= 1u64 << (v % 64);
-            }
-        }
-    }
-
-    /// One-hot prediction over a packed assignment; `None` when zero or
-    /// two classes assert (same contract as [`UnaryClassifier::predict`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len() < self.words()`.
-    pub fn predict_packed(&self, assignment: &[u64]) -> Option<usize> {
-        let mut hit = None;
-        for (class, cover) in self.covers.iter().enumerate() {
-            if cover.eval_words(assignment) {
-                if hit.is_some() {
-                    return None; // two classes asserted
-                }
-                hit = Some(class);
-            }
-        }
-        hit
-    }
-
-    /// Packs and predicts — prefer [`predict_packed`](Self::predict_packed)
-    /// with a reused buffer in hot loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample.len() < self.n_features()`.
-    pub fn predict(&self, sample: &[u8]) -> Option<usize> {
-        let mut packed = Vec::with_capacity(self.words);
-        self.assignment_into(sample, &mut packed);
-        self.predict_packed(&packed)
-    }
-
-    /// Fraction of `data` classified correctly (a `None` prediction counts
-    /// as wrong). For tree-derived classifiers this equals
-    /// `tree.accuracy(data)` exactly.
+    /// Fraction of `data` classified correctly (zero or two asserted
+    /// class lines count as wrong). For tree-derived classifiers this
+    /// equals `tree.accuracy(data)` exactly.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or narrower than the feature space.
     pub fn accuracy(&self, data: &QuantizedDataset) -> f64 {
-        assert!(!data.is_empty(), "cannot score an empty dataset");
-        let mut packed = Vec::with_capacity(self.words);
-        let correct = data
-            .iter()
-            .filter(|(sample, label)| {
-                self.assignment_into(sample, &mut packed);
-                self.predict_packed(&packed) == Some(*label)
-            })
-            .count();
-        correct as f64 / data.len() as f64
+        let data = Columns::new(data.iter(), data.n_features());
+        data.check(self.n_features);
+        let mut scorer = Scorer::new(&self.literals, &self.netlist);
+        scorer.load_quantized(&data);
+        scorer.accuracy()
     }
 }
 
@@ -779,18 +704,35 @@ mod tests {
 
     #[test]
     fn packed_classifier_matches_unpacked_exhaustively() {
-        let tree = fig2_tree();
-        let u = UnaryClassifier::from_tree(&tree);
+        use printed_datasets::{dequantize_level, Dataset};
+        // The exhaustive grid, scored on the tape: labelled with the cover
+        // prediction every sample is right; labelled with any other class
+        // every sample is wrong.
+        let u = UnaryClassifier::from_tree(&fig2_tree());
         let p = u.packed();
+        let mut samples = Vec::new();
         for a in (0..16u8).step_by(3) {
             for b in 0..16u8 {
                 for c in (0..16u8).step_by(2) {
                     for e in 0..8u8 {
-                        let sample = [a, b, c, 0, e];
-                        assert_eq!(p.predict(&sample), u.predict(&sample), "{sample:?}");
+                        samples.push([a, b, c, 0, e]);
                     }
                 }
             }
+        }
+        for shift in 0..u.n_classes() {
+            let rows = samples
+                .iter()
+                .map(|sample| {
+                    let class = u.predict(sample).expect("one-hot");
+                    let values = sample.iter().map(|&l| dequantize_level(l, 4)).collect();
+                    (values, (class + shift) % u.n_classes())
+                })
+                .collect();
+            let grid = Dataset::from_rows("grid", 5, rows).unwrap();
+            let data = QuantizedDataset::from_dataset(&grid, 4);
+            let expected = if shift == 0 { 1.0 } else { 0.0 };
+            assert_eq!(p.accuracy(&data), expected, "labels shifted by {shift}");
         }
     }
 

@@ -24,14 +24,12 @@
 //! 2¹⁶ patterns, seeded-sampled beyond).
 
 use printed_adc::{AdcCost, BespokeAdcBank};
-use printed_logic::equiv::{thermometer_patterns, Equivalence};
+use printed_logic::equiv::{first_counterexample, Equivalence};
 use printed_logic::netlist::Netlist;
 use printed_logic::sop::{Cube, Sop};
 use printed_logic::Signal;
 
-use crate::passes::{
-    contradiction, feature_runs, sample_thermometer_patterns, FEASIBLE_ENUM_LIMIT, FEASIBLE_SAMPLES,
-};
+use crate::passes::{contradiction, feasible_domain, FEASIBLE_ENUM_LIMIT, FEASIBLE_SAMPLES};
 use crate::{LintConfig, LintReport, LintTarget, Linter};
 
 /// Seed for the sampled-equivalence fallback on huge feasible domains.
@@ -263,9 +261,10 @@ fn drop_sop_var(class_sops: &[Sop], literals: &[(usize, u8)], var: usize) -> Vec
         .collect()
 }
 
-/// Evaluates `original` and `fixed` across the original feasible domain,
-/// projecting each pattern onto the surviving literals. Exhaustive up to
-/// [`FEASIBLE_ENUM_LIMIT`] patterns, seeded-sampled beyond.
+/// Evaluates `original` and `fixed` on the tape across the original
+/// feasible domain, projecting each pattern onto the surviving literals.
+/// Exhaustive up to [`FEASIBLE_ENUM_LIMIT`] patterns, seeded-sampled
+/// beyond.
 fn prove_equivalence(
     original: &Netlist,
     original_literals: &[(usize, u8)],
@@ -301,30 +300,14 @@ fn prove_equivalence(
             }
         }
     }
-    let runs = feature_runs(original_literals);
-    let domain_size: usize = runs
-        .iter()
-        .try_fold(1usize, |acc, &r| acc.checked_mul(r + 1))
-        .unwrap_or(usize::MAX);
-    let exhaustive = domain_size <= FEASIBLE_ENUM_LIMIT;
-    let domain = if exhaustive {
-        thermometer_patterns(&runs)
-    } else {
-        sample_thermometer_patterns(&runs, FIX_SAMPLE_SEED, FEASIBLE_SAMPLES)
-    };
-    for pattern in domain {
-        let projected: Vec<bool> = kept.iter().map(|&i| pattern[i]).collect();
-        let left = original.eval(&pattern);
-        let right = fixed.eval(&projected);
-        if left != right {
-            return Equivalence::Counterexample {
-                inputs: pattern,
-                left,
-                right,
-            };
-        }
-    }
-    Equivalence::Equivalent { exhaustive }
+    let (domain, exhaustive) = feasible_domain(
+        original_literals,
+        FEASIBLE_ENUM_LIMIT,
+        FEASIBLE_SAMPLES,
+        FIX_SAMPLE_SEED,
+    );
+    first_counterexample(original, fixed, &kept, domain)
+        .unwrap_or(Equivalence::Equivalent { exhaustive })
 }
 
 #[cfg(test)]

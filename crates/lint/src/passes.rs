@@ -11,7 +11,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use printed_analog::ladder::Ladder;
 use printed_dtree::DecisionTree;
 use printed_logic::blocks::or_tree;
-use printed_logic::equiv::{check_equivalence_on, thermometer_patterns, Equivalence};
+use printed_logic::equiv::{
+    check_equivalence_on, sample_thermometer_patterns, thermometer_patterns, Equivalence,
+};
 use printed_logic::netlist::Netlist;
 use printed_logic::sop::Cube;
 use printed_logic::Signal;
@@ -561,27 +563,14 @@ impl Lint for PathFidelity {
             return; // A001 (or leg 1) already explains the mismatch
         }
         let reference = tree_netlist(tree, target.literals);
-        let runs = feature_runs(target.literals);
-        let domain_size: usize = runs
-            .iter()
-            .try_fold(1usize, |acc, &r| acc.checked_mul(r + 1))
-            .unwrap_or(usize::MAX);
-        let enum_limit = target
-            .equiv_budget
-            .map_or(FEASIBLE_ENUM_LIMIT, |b| b.min(FEASIBLE_ENUM_LIMIT));
-        let samples = target
-            .equiv_budget
-            .map_or(FEASIBLE_SAMPLES, |b| b.min(FEASIBLE_SAMPLES));
-        let verdict = if domain_size <= enum_limit {
-            check_equivalence_on(&reference, target.netlist, thermometer_patterns(&runs))
-        } else {
-            check_equivalence_on(
-                &reference,
-                target.netlist,
-                sample_thermometer_patterns(&runs, 0x0ADC_11A7, samples),
-            )
-        };
-        match verdict {
+        let budget = |cap: usize| target.equiv_budget.map_or(cap, |b| b.min(cap));
+        let (domain, _) = feasible_domain(
+            target.literals,
+            budget(FEASIBLE_ENUM_LIMIT),
+            budget(FEASIBLE_SAMPLES),
+            0x0ADC_11A7,
+        );
+        match check_equivalence_on(&reference, target.netlist, domain) {
             Equivalence::Equivalent { .. } => {}
             Equivalence::Counterexample {
                 inputs,
@@ -610,6 +599,27 @@ impl Lint for PathFidelity {
                 ));
             }
         }
+    }
+}
+
+/// The thermometer-feasible domain over `literals`: every pattern when
+/// there are at most `limit`, else `samples` seeded ones. The flag is true
+/// when the domain was enumerated.
+pub(crate) fn feasible_domain(
+    literals: &[(usize, u8)],
+    limit: usize,
+    samples: usize,
+    seed: u64,
+) -> (Vec<Vec<bool>>, bool) {
+    let runs = feature_runs(literals);
+    let size = runs
+        .iter()
+        .try_fold(1usize, |acc, &r| acc.checked_mul(r + 1))
+        .unwrap_or(usize::MAX);
+    if size <= limit {
+        (thermometer_patterns(&runs), true)
+    } else {
+        (sample_thermometer_patterns(&runs, seed, samples), false)
     }
 }
 
@@ -670,33 +680,6 @@ pub(crate) fn feature_runs(literals: &[(usize, u8)]) -> Vec<usize> {
         runs.push(len);
     }
     runs
-}
-
-/// Seeded random thermometer-consistent patterns (uniform level per
-/// group) for domains too large to enumerate.
-pub(crate) fn sample_thermometer_patterns(
-    runs: &[usize],
-    seed: u64,
-    count: usize,
-) -> Vec<Vec<bool>> {
-    let total: usize = runs.iter().sum();
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-    (0..count)
-        .map(|_| {
-            let mut pattern = Vec::with_capacity(total);
-            for &run in runs {
-                let level = (next() % (run as u64 + 1)) as usize;
-                pattern.extend((0..run).map(|digit| digit < level));
-            }
-            pattern
-        })
-        .collect()
 }
 
 /// G001 — exploration-grid hygiene: empty or invalid ranges (errors) and
@@ -1614,22 +1597,5 @@ mod tests {
     fn feature_runs_group_consecutive_literals() {
         assert_eq!(feature_runs(&[(0, 3), (0, 9), (2, 5)]), vec![2, 1]);
         assert_eq!(feature_runs(&[]), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn sampled_patterns_are_thermometer_consistent() {
-        let runs = vec![3, 2, 4];
-        for pattern in sample_thermometer_patterns(&runs, 7, 64) {
-            let mut offset = 0;
-            for &run in &runs {
-                for d in 1..run {
-                    assert!(
-                        !pattern[offset + d] || pattern[offset + d - 1],
-                        "{pattern:?} violates monotonicity"
-                    );
-                }
-                offset += run;
-            }
-        }
     }
 }

@@ -49,5 +49,5 @@ pub use fanout::{fanout_counts, legalize_fanout, max_fanout};
 pub use faults::{enumerate_faults, fault_campaign, FaultCampaign, FaultyNetlist, StuckAt};
 pub use netlist::{Gate, Netlist, Signal};
 pub use report::{analyze, AnalysisConfig, DesignReport};
-pub use sop::{Cube, PackedCover, Sop};
+pub use sop::{Cube, Sop};
 pub use verilog::to_verilog;

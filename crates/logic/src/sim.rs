@@ -6,10 +6,12 @@
 //! stimulus patterns. One pass over the tape therefore evaluates 64
 //! patterns per gate operation.
 //!
-//! [`FaultSim`] keeps the fault-free ("good") words and a working copy.
-//! Injecting a stuck-at fault forces the gate's slot to all-0 or all-1 and
-//! re-evaluates only the gates after it; gates before the fault cannot
-//! depend on it, so they keep their good words.
+//! [`FaultSim`] keeps the fault-free ("good") words and, once a fault is
+//! injected, a working copy. Injecting a stuck-at fault forces the gate's
+//! slot to all-0 or all-1 and re-evaluates only the gates after it; gates
+//! before the fault cannot depend on it, so they keep their good words.
+//! [`FaultSim::load`] feeds the same tape new input words, and
+//! [`FaultSim::first_difference`] compares two circuits pattern-wise.
 //!
 //! ```
 //! use printed_logic::faults::StuckAt;
@@ -152,8 +154,22 @@ fn eval_cell(kind: CellKind, out: &mut [u64], args: [&[u64]; 4]) {
     }
 }
 
-/// A netlist evaluated over a fixed pattern set, 64 patterns per word,
-/// with at most one stuck-at fault injected at a time.
+/// Packs one input vector per pattern into the input words of
+/// [`FaultSim::load`]; panics on a pattern without `inputs` values.
+pub(crate) fn pack_patterns(patterns: &[Vec<bool>], inputs: usize) -> Vec<u64> {
+    let words = patterns.len().div_ceil(64);
+    let mut packed = vec![0u64; inputs * words];
+    for (p, pattern) in patterns.iter().enumerate() {
+        assert_eq!(pattern.len(), inputs, "wrong number of input values");
+        for (i, _) in pattern.iter().enumerate().filter(|&(_, &v)| v) {
+            packed[i * words + p / 64] |= 1 << (p % 64);
+        }
+    }
+    packed
+}
+
+/// A netlist evaluated over a pattern set, 64 patterns per word, with at
+/// most one stuck-at fault injected at a time.
 ///
 /// Words are slot-major: slot `s` owns `words * s .. words * (s + 1)`.
 /// Bits past the last pattern of the final word are unspecified; mask them
@@ -164,10 +180,12 @@ pub struct FaultSim {
     patterns: usize,
     words: usize,
     good: Vec<u64>,
+    /// Working words under the injected fault, copied from the good words
+    /// on the first [`inject`](Self::inject).
     values: Vec<u64>,
-    /// Lowest gate whose working words may differ from the good circuit's
-    /// (the gate count while no fault has been injected).
-    dirty: usize,
+    /// Lowest gate whose working words may differ from the good circuit's;
+    /// `None` while no fault is injected.
+    dirty: Option<usize>,
 }
 
 impl FaultSim {
@@ -179,26 +197,50 @@ impl FaultSim {
     /// Panics if a pattern's length does not match the netlist's input
     /// count, or if the netlist's gates are not in topological order.
     pub fn new(netlist: &Netlist, patterns: &[Vec<bool>]) -> Self {
-        let tape = Tape::compile(netlist);
-        let words = patterns.len().div_ceil(64);
-        let mut good = vec![0u64; tape.slots() * words];
-        good[CONST1 * words..(CONST1 + 1) * words].fill(!0);
-        for (p, pattern) in patterns.iter().enumerate() {
-            assert_eq!(pattern.len(), tape.inputs, "wrong number of input values");
-            let (word, bit) = (p / 64, 1u64 << (p % 64));
-            for (i, _) in pattern.iter().enumerate().filter(|&(_, &v)| v) {
-                good[(FIRST_INPUT + i) * words + word] |= bit;
-            }
+        let packed = pack_patterns(patterns, netlist.input_count());
+        Self::from_words(netlist, patterns.len(), &packed)
+    }
+
+    /// Compiles `netlist` and [`load`](Self::load)s `patterns` patterns
+    /// given as input words; panics as `load` and [`new`](Self::new) do.
+    pub fn from_words(netlist: &Netlist, patterns: usize, inputs: &[u64]) -> Self {
+        let mut sim = Self {
+            tape: Tape::compile(netlist),
+            patterns: 0,
+            words: 0,
+            good: Vec::new(),
+            values: Vec::new(),
+            dirty: None,
+        };
+        sim.load(patterns, inputs);
+        sim
+    }
+
+    /// Replaces the pattern set with `patterns` patterns and evaluates the
+    /// fault-free circuit; any injected fault is cleared. `inputs` holds
+    /// `ceil(patterns / 64)` words per input, input-major: input `i`'s bit
+    /// for pattern `p` is bit `p % 64` of word `i * words + p / 64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` does not hold exactly that many words.
+    pub fn load(&mut self, patterns: usize, inputs: &[u64]) {
+        let words = patterns.div_ceil(64);
+        assert_eq!(
+            inputs.len(),
+            self.tape.inputs * words,
+            "wrong number of input words"
+        );
+        let len = self.tape.slots() * words;
+        if self.good.len() != len {
+            self.good = vec![0; len];
+            self.good[CONST1 * words..FIRST_INPUT * words].fill(!0);
         }
-        tape.evaluate_from(words, &mut good, 0);
-        Self {
-            dirty: tape.ops.len(),
-            tape,
-            patterns: patterns.len(),
-            words,
-            values: good.clone(),
-            good,
-        }
+        self.patterns = patterns;
+        self.words = words;
+        self.good[FIRST_INPUT * words..][..inputs.len()].copy_from_slice(inputs);
+        self.tape.evaluate_from(words, &mut self.good, 0);
+        self.dirty = None;
     }
 
     /// Words per slot: `ceil(patterns / 64)`.
@@ -234,7 +276,19 @@ impl FaultSim {
     /// Output `o`'s words under the most recently injected fault (the
     /// good words before any injection).
     pub fn output(&self, o: usize) -> &[u64] {
-        self.slot_words(&self.values, self.tape.outputs[o])
+        let values = if self.dirty.is_some() {
+            &self.values
+        } else {
+            &self.good
+        };
+        self.slot_words(values, self.tape.outputs[o])
+    }
+
+    /// Every output's value on pattern `p` in the current state.
+    pub fn outputs_at(&self, p: usize) -> Vec<bool> {
+        (0..self.output_count())
+            .map(|o| (self.output(o)[p / 64] >> (p % 64)) & 1 == 1)
+            .collect()
     }
 
     /// Replaces the injected fault with `fault`: restores the good words
@@ -250,16 +304,20 @@ impl FaultSim {
             "fault on missing gate {}",
             fault.gate
         );
+        if self.dirty.is_none() {
+            self.values.clone_from(&self.good);
+        }
         // Gates from the previous fault site on may hold faulty words;
         // those before the new site are not recomputed, so restore them.
         let words = self.words;
-        let restore = self.tape.gate_slot(self.dirty.min(fault.gate)) * words;
+        let first_dirty = self.dirty.unwrap_or(fault.gate).min(fault.gate);
+        let restore = self.tape.gate_slot(first_dirty) * words;
         let forced = self.tape.gate_slot(fault.gate) * words;
         self.values[restore..forced].copy_from_slice(&self.good[restore..forced]);
         self.values[forced..forced + words].fill(if fault.value { !0 } else { 0 });
         self.tape
             .evaluate_from(words, &mut self.values, fault.gate + 1);
-        self.dirty = fault.gate;
+        self.dirty = Some(fault.gate);
     }
 
     /// Number of patterns on which any output differs from the good
@@ -274,10 +332,32 @@ impl FaultSim {
             })
             .sum()
     }
+
+    /// The lowest pattern on which any output differs from the same output
+    /// of `other`, each in its current state; `None` when they agree on
+    /// every pattern. Compares a word (64 patterns) at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two hold different pattern or output counts.
+    pub fn first_difference(&self, other: &FaultSim) -> Option<usize> {
+        assert_eq!(self.patterns, other.patterns, "different pattern counts");
+        assert_eq!(
+            self.output_count(),
+            other.output_count(),
+            "different output counts"
+        );
+        (0..self.words).find_map(|w| {
+            let diff = (0..self.output_count())
+                .fold(0, |acc, o| acc | (self.output(o)[w] ^ other.output(o)[w]))
+                & self.word_mask(w);
+            (diff != 0).then(|| 64 * w + diff.trailing_zeros() as usize)
+        })
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::faults::{enumerate_faults, fault_campaign, FaultyNetlist};
     use proptest::collection::vec;
@@ -299,10 +379,11 @@ mod tests {
             .collect()
     }
 
-    /// A random netlist over every library cell, with constants in the
-    /// argument pool (they fold, so tie cells reach the tape as the
-    /// constant slots).
-    fn arb_netlist() -> impl Strategy<Value = Netlist> {
+    /// One random gate: a library cell index and four argument picks.
+    pub(crate) type GateSpec = (usize, u16, u16, u16, u16);
+
+    /// Up to 39 random gate specs.
+    pub(crate) fn arb_gate_specs() -> impl Strategy<Value = Vec<GateSpec>> {
         let spec = (
             0usize..21,
             any::<u16>(),
@@ -310,25 +391,34 @@ mod tests {
             any::<u16>(),
             any::<u16>(),
         );
-        (1usize..6, vec(spec, 1..40)).prop_map(|(n_inputs, specs)| {
-            let mut nl = Netlist::new("random");
-            let mut pool = vec![Signal::Const(false), Signal::Const(true)];
-            pool.extend((0..n_inputs).map(|i| nl.input(format!("x{i}"))));
-            for (k, a, b, c, d) in specs {
-                let kind = CellKind::ALL[k];
-                let args: Vec<Signal> = [a, b, c, d][..kind.inputs()]
-                    .iter()
-                    .map(|&r| pool[r as usize % pool.len()])
-                    .collect();
-                let signal = nl.gate(kind, &args);
-                pool.push(signal);
-            }
-            let n = pool.len();
-            for (i, &s) in pool[n.saturating_sub(3)..].iter().enumerate() {
-                nl.output(format!("o{i}"), s);
-            }
-            nl
-        })
+        vec(spec, 1..40)
+    }
+
+    /// A netlist on `n_inputs` inputs over every library cell, with
+    /// constants in the argument pool (they fold, so tie cells reach the
+    /// tape as the constant slots); its last three signals are outputs.
+    pub(crate) fn random_netlist(n_inputs: usize, specs: &[GateSpec]) -> Netlist {
+        let mut nl = Netlist::new("random");
+        let mut pool = vec![Signal::Const(false), Signal::Const(true)];
+        pool.extend((0..n_inputs).map(|i| nl.input(format!("x{i}"))));
+        for &(k, a, b, c, d) in specs {
+            let kind = CellKind::ALL[k];
+            let args: Vec<Signal> = [a, b, c, d][..kind.inputs()]
+                .iter()
+                .map(|&r| pool[r as usize % pool.len()])
+                .collect();
+            let signal = nl.gate(kind, &args);
+            pool.push(signal);
+        }
+        let n = pool.len();
+        for (i, &s) in pool[n.saturating_sub(3)..].iter().enumerate() {
+            nl.output(format!("o{i}"), s);
+        }
+        nl
+    }
+
+    fn arb_netlist() -> impl Strategy<Value = Netlist> {
+        (1usize..6, arb_gate_specs()).prop_map(|(n, specs)| random_netlist(n, &specs))
     }
 
     /// `count_pick` selects 1, 63, 64, 65 or 130 patterns, so both exact
@@ -418,6 +508,28 @@ mod tests {
             eval_cell(kind, &mut out, columns.each_ref().map(|c| &c[..]));
             assert_eq!(out[0] & 0xFFFF, expected, "{kind}");
         }
+    }
+
+    #[test]
+    fn load_replaces_the_patterns_and_clears_the_fault() {
+        let mut nl = Netlist::new("and");
+        let a = nl.input("a");
+        let b = nl.input("b");
+        let y = nl.gate(CellKind::And2, &[a, b]);
+        nl.output("y", y);
+        let mut sim = FaultSim::from_words(&nl, 2, &[0b10, 0b11]);
+        assert_eq!(sim.output(0)[0] & sim.word_mask(0), 0b10);
+        sim.inject(StuckAt {
+            gate: 0,
+            value: false,
+        });
+        assert_eq!(sim.output(0)[0] & sim.word_mask(0), 0);
+        sim.load(70, &[!0, 0b1, !0, 0]);
+        assert_eq!(sim.words(), 2);
+        assert_eq!(sim.output(0), sim.good_output(0));
+        assert_eq!(sim.output(0)[0], !0);
+        assert_eq!(sim.outputs_at(64), vec![false]);
+        assert_eq!(sim.mismatches(), 0);
     }
 
     #[test]

@@ -371,119 +371,6 @@ impl Sop {
     }
 }
 
-/// A [`Sop`] compiled to bit-parallel word masks for fast repeated
-/// evaluation.
-///
-/// Each cube becomes a `(care, value)` pair of `u64` word vectors over the
-/// variable bits: the cube is satisfied iff `(assignment & care) == value`
-/// in every word. A whole cube therefore evaluates in `words_per_cube()`
-/// AND+compare operations instead of one `BTreeMap` walk per literal, and
-/// the assignment itself is a packed word vector instead of a `Vec<bool>`
-/// — the hot shape for grid accuracy scoring and Quine–McCluskey cover
-/// checks. Exact: [`eval_words`](Self::eval_words) returns precisely what
-/// [`Sop::eval`] returns on the unpacked assignment (pinned by tests).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedCover {
-    num_vars: usize,
-    words: usize,
-    /// Cube-major masks: cube `i` owns `care[i*words..(i+1)*words]`.
-    care: Vec<u64>,
-    value: Vec<u64>,
-}
-
-impl PackedCover {
-    /// Words needed to hold `num_vars` bits (at least one, so the empty
-    /// domain still has a well-formed mask row).
-    pub fn words_for(num_vars: usize) -> usize {
-        num_vars.div_ceil(64).max(1)
-    }
-
-    /// Compiles `sop` into packed masks.
-    pub fn from_sop(sop: &Sop) -> Self {
-        let num_vars = sop.num_vars();
-        let words = Self::words_for(num_vars);
-        let n_cubes = sop.cubes().len();
-        let mut care = vec![0u64; n_cubes * words];
-        let mut value = vec![0u64; n_cubes * words];
-        for (i, cube) in sop.cubes().iter().enumerate() {
-            for (v, p) in cube.literals() {
-                care[i * words + v / 64] |= 1u64 << (v % 64);
-                if p {
-                    value[i * words + v / 64] |= 1u64 << (v % 64);
-                }
-            }
-        }
-        Self {
-            num_vars,
-            words,
-            care,
-            value,
-        }
-    }
-
-    /// Number of variables of the function's domain.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Words per packed assignment (and per cube mask row).
-    pub fn words_per_cube(&self) -> usize {
-        self.words
-    }
-
-    /// Number of cubes.
-    pub fn n_cubes(&self) -> usize {
-        self.care.len() / self.words
-    }
-
-    /// Evaluates on a packed assignment (bit `v` of word `v / 64` is
-    /// variable `v`; bits ≥ `num_vars()` are ignored). The empty cover is
-    /// false; a universe cube (no cared bits) is true.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len() < self.words_per_cube()`.
-    pub fn eval_words(&self, assignment: &[u64]) -> bool {
-        assert!(
-            assignment.len() >= self.words,
-            "packed assignment too short"
-        );
-        (0..self.n_cubes()).any(|i| {
-            let row = i * self.words;
-            (0..self.words).all(|w| assignment[w] & self.care[row + w] == self.value[row + w])
-        })
-    }
-
-    /// Packs a boolean assignment into `out` (cleared and refilled), ready
-    /// for [`eval_words`](Self::eval_words).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len() < self.num_vars()`.
-    pub fn pack_into(&self, assignment: &[bool], out: &mut Vec<u64>) {
-        assert!(assignment.len() >= self.num_vars, "assignment too short");
-        out.clear();
-        out.resize(self.words, 0);
-        for (v, &bit) in assignment.iter().take(self.num_vars).enumerate() {
-            if bit {
-                out[v / 64] |= 1u64 << (v % 64);
-            }
-        }
-    }
-
-    /// Convenience scalar evaluation (packs then evaluates) — prefer
-    /// [`eval_words`](Self::eval_words) with a reused buffer in hot loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len() < self.num_vars()`.
-    pub fn eval(&self, assignment: &[bool]) -> bool {
-        let mut packed = Vec::with_capacity(self.words);
-        self.pack_into(assignment, &mut packed);
-        self.eval_words(&packed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,54 +565,6 @@ mod tests {
             ra.static_power
         );
         assert!(rb.area < ra.area);
-    }
-
-    #[test]
-    fn packed_cover_matches_sop_eval_exhaustively() {
-        let cases: Vec<Sop> = vec![
-            Sop::constant_false(3),
-            Sop::constant_true(3),
-            Sop::from_cubes(
-                3,
-                vec![
-                    Cube::from_literals(&[(0, true), (1, false)]),
-                    Cube::from_literals(&[(2, true)]),
-                ],
-            ),
-            Sop::from_cubes(
-                3,
-                vec![
-                    Cube::from_literals(&[(0, false), (1, false), (2, false)]),
-                    Cube::universe(),
-                ],
-            ),
-        ];
-        for sop in cases {
-            let packed = PackedCover::from_sop(&sop);
-            assert_eq!(packed.n_cubes(), sop.cubes().len());
-            for a in assignments(3) {
-                assert_eq!(packed.eval(&a), sop.eval(&a), "{a:?} in {sop:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_cover_spans_word_boundaries() {
-        // Variables above 64 land in the second word.
-        let sop = Sop::from_cubes(
-            70,
-            vec![Cube::from_literals(&[(0, true), (65, true), (69, false)])],
-        );
-        let packed = PackedCover::from_sop(&sop);
-        assert_eq!(packed.words_per_cube(), 2);
-        let mut a = vec![false; 70];
-        a[0] = true;
-        a[65] = true;
-        assert!(packed.eval(&a));
-        assert!(sop.eval(&a));
-        a[69] = true;
-        assert!(!packed.eval(&a));
-        assert!(!sop.eval(&a));
     }
 
     #[test]
