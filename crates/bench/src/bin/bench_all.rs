@@ -17,20 +17,19 @@
 //! * `--paper` — the full paper τ×depth grid instead of the quick grid
 //!   (slow; the committed baselines use the quick grid).
 //!
-//! The per-run flow mirrors the `codesign` binary exactly — reference
-//! training, the traced τ×depth sweep, and selection at 1% accuracy
-//! loss — so a `bench_all` record gates a `PRINTED_TRACE`d `codesign`
-//! run of the same dataset with 0.0% deterministic drift.
+//! Each run is one traced `CodesignFlow` at 1% accuracy loss — the same
+//! composition the `codesign` binary calls — so a `bench_all` record
+//! gates a `PRINTED_TRACE`d `codesign` run of the same dataset with 0.0%
+//! deterministic drift.
 
 use std::process::ExitCode;
 
-use printed_bench::{choose, explore_traced, stderr_progress, BITS, DEPTH_CAP};
+use printed_bench::{stderr_progress, BITS};
 use printed_codesign::explore::ExplorationConfig;
+use printed_codesign::CodesignFlow;
 use printed_datasets::Benchmark;
-use printed_dtree::cart::train_depth_selected;
-use printed_pdk::AnalogModel;
 use printed_report::TraceStats;
-use printed_telemetry::{FlowTrace, Recorder, RunManifest};
+use printed_telemetry::{FlowTrace, Recorder};
 
 /// The selection constraint every baseline records — the paper's 1%.
 const LOSS: f64 = 0.01;
@@ -75,22 +74,21 @@ fn run_once(benchmark: Benchmark, grid: &ExplorationConfig) -> Result<FlowTrace,
     let (train, test) = benchmark
         .load_quantized(BITS)
         .map_err(|e| format!("{benchmark}: load: {e}"))?;
-    let recorder = Recorder::collecting().0;
-    let _reference = train_depth_selected(&train, &test, DEPTH_CAP);
     let progress = stderr_progress();
-    let sweep = explore_traced(&train, &test, grid, &recorder, Some(&progress));
-    let chosen = choose(&sweep, LOSS);
-    printed_codesign::record_selection(&recorder, chosen, &AnalogModel::egfet());
-    printed_codesign::record_process_gauges(&recorder);
-    let snapshot = recorder
-        .snapshot()
+    let mut trace = CodesignFlow::new(&train, &test)
+        .accuracy_loss(LOSS)
+        .grid(grid.clone())
+        .title(benchmark.to_string())
+        .recorder(Recorder::collecting().0)
+        .progress(&progress)
+        .run()
+        .trace
         .ok_or_else(|| format!("{benchmark}: collecting recorder yielded no snapshot"))?;
-    let title = benchmark.to_string();
-    let manifest = RunManifest::capture(&title)
-        .with_grid(&grid.taus, grid.depths.iter().copied())
-        .with_seed(grid.seed)
-        .with_accuracy_loss(LOSS);
-    Ok(FlowTrace::from_snapshot(&title, &snapshot).with_manifest(manifest))
+    // Records key on the benchmark, not on its training split's name.
+    if let Some(manifest) = trace.manifest.as_mut() {
+        manifest.dataset = benchmark.to_string();
+    }
+    Ok(trace)
 }
 
 fn run(args: &Args) -> Result<(), String> {

@@ -1,5 +1,8 @@
-//! The co-design CLI: run the full flow on a benchmark and optionally
-//! export the resulting hardware as structural Verilog and SPICE.
+//! The co-design CLI: run the full flow (`CodesignFlow`) on a benchmark,
+//! print its outcome, and optionally export the chosen hardware as
+//! structural Verilog and SPICE. The baseline line reports the reference
+//! the selection floor is measured from, trained up to the grid's deepest
+//! cap (8 on the paper grid, 6 with `--quick`).
 //!
 //! ```sh
 //! cargo run --release -p printed-bench --bin codesign -- seeds --loss 0.01 \
@@ -12,8 +15,11 @@
 //! * `--loss <fraction>` — accuracy-loss constraint (default `0.01`);
 //! * `--quick` — reduced τ×depth grid;
 //! * `--robust` — run the robustness campaign (faults + mismatch + droop)
-//!   over the sweep and report the robustness-aware selection; fails if any
-//!   grid point panicked or no candidate could be profiled;
+//!   over the sweep and select on it: the reported, linted and exported
+//!   design is the robustness-aware selection (the nominal one when no
+//!   candidate meets the robustness constraints), and the profile table
+//!   ends with a line naming the plain selection when the two diverge;
+//!   fails if any grid point panicked or no candidate could be profiled;
 //! * `--trials <n>` — Monte-Carlo trials per candidate for `--robust`;
 //! * `--trials-max <n>` — switch the campaign to the adaptive sequential
 //!   budget: candidates stop early once a confidence bound proves they
@@ -42,16 +48,16 @@ use std::process::ExitCode;
 
 use printed_analog::ladder::Ladder;
 use printed_analog::spice::ladder_deck;
-use printed_bench::{choose, explore_traced, stderr_progress, TraceHook, BITS};
+use printed_bench::{choose, stderr_progress, TraceHook, BITS};
 use printed_codesign::explore::ExplorationConfig;
-use printed_codesign::{AdaptiveBudget, RobustnessCampaign, RobustnessConstraints};
+use printed_codesign::{
+    AdaptiveBudget, CodesignFlow, FlowOutcome, RobustnessCampaign, RobustnessConstraints,
+};
 use printed_datasets::Benchmark;
-use printed_dtree::cart::train_depth_selected;
-use printed_dtree::synthesize_baseline;
 use printed_logic::equiv::Equivalence;
 use printed_logic::verilog::to_verilog;
 use printed_pdk::AnalogModel;
-use printed_telemetry::{keys, RunManifest};
+use printed_telemetry::RunManifest;
 
 #[derive(Clone, Copy, PartialEq)]
 enum LintMode {
@@ -167,6 +173,38 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         .benchmark
         .load_quantized(BITS)
         .map_err(|e| format!("load: {e}"))?;
+    let mut grid = if args.quick {
+        ExplorationConfig::quick()
+    } else {
+        ExplorationConfig::paper()
+    };
+    if let Some(path) = &args.resume {
+        grid = grid.with_checkpoint(path);
+    }
+    hook.set_manifest(
+        RunManifest::capture(format!("{}", args.benchmark))
+            .with_grid(&grid.taus, grid.depths.iter().copied())
+            .with_seed(grid.seed)
+            .with_accuracy_loss(args.loss),
+    );
+    let campaign = args.robust.then(|| robust_campaign(args));
+    let analog_split = args
+        .robust
+        .then(|| args.benchmark.load_split())
+        .transpose()
+        .map_err(|e| format!("load analog split: {e}"))?;
+    let progress = stderr_progress();
+    let mut flow = CodesignFlow::new(&train, &test)
+        .accuracy_loss(args.loss)
+        .grid(grid.clone())
+        .title(args.benchmark.to_string())
+        .recorder(hook.recorder().clone())
+        .progress(&progress);
+    if let (Some(campaign), Some((_, analog_test))) = (&campaign, &analog_split) {
+        flow = flow.robustness(campaign.clone(), analog_test);
+    }
+    let outcome = flow.run();
+
     println!(
         "{}: {} train / {} test samples, {} features, {} classes",
         args.benchmark,
@@ -175,36 +213,17 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         train.n_features(),
         train.n_classes()
     );
-
-    let reference = train_depth_selected(&train, &test, 8);
-    let baseline = synthesize_baseline(&reference.tree);
     println!(
         "baseline [2]: {:.1}% accuracy, {:.2}, {:.2}",
-        reference.test_accuracy * 100.0,
-        baseline.total_area(),
-        baseline.total_power()
+        outcome.reference_accuracy * 100.0,
+        outcome.baseline.total_area(),
+        outcome.baseline.total_power()
     );
-
-    let mut grid = if args.quick {
-        ExplorationConfig::quick()
-    } else {
-        ExplorationConfig::paper()
-    };
     if let Some(path) = &args.resume {
-        grid = grid.with_checkpoint(path);
         println!("checkpointing sweep to {path} (resumes completed points)");
     }
-    hook.set_manifest(
-        RunManifest::capture(format!("{}", args.benchmark))
-            .with_grid(&grid.taus, grid.depths.iter().copied())
-            .with_seed(grid.seed)
-            .with_accuracy_loss(args.loss),
-    );
-    let progress = stderr_progress();
-    let sweep = explore_traced(&train, &test, &grid, hook.recorder(), Some(&progress));
-    let chosen = choose(&sweep, args.loss);
-    printed_codesign::record_selection(hook.recorder(), chosen, &AnalogModel::egfet());
-    let r = chosen.system.reduction_vs(&baseline);
+    let chosen = &outcome.chosen;
+    let r = outcome.reduction();
     println!(
         "co-design (τ={}, depth {}): {:.1}% accuracy, {:.2}, {:.2} — {:.1}x area, {:.1}x power vs baseline",
         chosen.tau,
@@ -221,29 +240,15 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         chosen.system.input_count(),
         chosen.system.is_self_powered()
     );
-    println!(
-        "{}",
-        printed_codesign::Datasheet::new(
-            format!("{}", args.benchmark),
-            &chosen.system,
-            Some(chosen.test_accuracy),
-        )
-    );
+    println!("{}", outcome.datasheet());
 
     if args.lint.enabled() {
-        let stage = hook.recorder().span(keys::STAGE_LINT);
-        let report = printed_codesign::lint_candidate(
-            chosen,
-            &AnalogModel::egfet(),
-            Some(&grid),
-            &printed_codesign::LintConfig::new(),
-        );
-        printed_codesign::record_lint(hook.recorder(), &report);
-        stage.finish();
+        let report = outcome.lint.as_ref().expect("the flow lints its choice");
         println!("{}", report.render_text());
 
         // The whole-grid in-flow lint already ran inside the sweep
         // workers; surface its verdict next to the chosen design's.
+        let sweep = &outcome.sweep;
         let grid_errors: usize = sweep.lint.iter().map(|l| l.report.error_count()).sum();
         let grid_warnings: usize = sweep.lint.iter().map(|l| l.report.warning_count()).sum();
         println!(
@@ -272,8 +277,8 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         }
     }
 
-    if args.robust {
-        run_robustness(args, hook, &sweep, &test, chosen.tau, chosen.depth)?;
+    if let Some(campaign) = &campaign {
+        report_robustness(args, campaign, &outcome)?;
     }
 
     if let Some(path) = &args.verilog {
@@ -302,6 +307,25 @@ fn run(args: &Args, hook: &mut TraceHook) -> Result<(), String> {
         println!("wrote bespoke ladder SPICE deck to {path}");
     }
     Ok(())
+}
+
+/// The `--robust` campaign: the quick or typical preset, with `--trials`
+/// overriding its fixed budget or `--trials-max` switching it to the
+/// adaptive sequential budget (the flow supplies the floor and
+/// constraints the early exits decide against).
+fn robust_campaign(args: &Args) -> RobustnessCampaign {
+    let mut campaign = if args.quick {
+        RobustnessCampaign::quick()
+    } else {
+        RobustnessCampaign::typical()
+    };
+    if let Some(trials) = args.trials {
+        campaign.trials = trials;
+    }
+    if let Some(trials_max) = args.trials_max {
+        campaign = campaign.budgeted(AdaptiveBudget::new(trials_max).with_probe());
+    }
+    campaign
 }
 
 /// The `--lint=fix` leg: run the fixpoint autofix rewriter over the
@@ -362,58 +386,20 @@ fn run_fix(
     }
 }
 
-/// The `--robust` leg: profile every sweep candidate under faults,
-/// mismatch, and supply droop, print the profile table, and report the
-/// robustness-aware selection next to the plain one. Errors (→ non-zero
-/// exit, the CI smoke assertion) when any grid point panicked or when the
-/// campaign produced no profiles.
-fn run_robustness(
+/// The `--robust` report: the flow's per-candidate profile table under
+/// faults, mismatch, and supply droop, and the robustness-aware selection
+/// next to the plain one. Errors (→ non-zero exit, the CI smoke assertion)
+/// when any grid point panicked or when the campaign produced no profiles.
+fn report_robustness(
     args: &Args,
-    hook: &mut TraceHook,
-    sweep: &printed_codesign::Exploration,
-    test_q: &printed_datasets::QuantizedDataset,
-    plain_tau: f64,
-    plain_depth: usize,
+    campaign: &RobustnessCampaign,
+    flow: &FlowOutcome,
 ) -> Result<(), String> {
-    let (_, test_analog) = args
-        .benchmark
-        .load_split()
-        .map_err(|e| format!("load analog split: {e}"))?;
-    let mut campaign = if args.quick {
-        RobustnessCampaign::quick()
-    } else {
-        RobustnessCampaign::typical()
-    };
-    if let Some(trials) = args.trials {
-        campaign.trials = trials;
+    let sweep = &flow.sweep;
+    let outcome = flow.robustness.as_ref().expect("--robust runs a campaign");
+    if let Some(path) = &args.resume {
+        println!("checkpointing campaign to {path}.robust (resumes profiled candidates)");
     }
-    let constraints = RobustnessConstraints::default();
-    if let Some(trials_max) = args.trials_max {
-        campaign = campaign.budgeted(
-            AdaptiveBudget::new(trials_max)
-                .with_constraints(constraints)
-                .with_floor(sweep.reference_accuracy - args.loss)
-                .with_probe(),
-        );
-    }
-    // The campaign checkpoints beside the sweep checkpoint, never inside
-    // it: sweep compaction rewrites the file and would drop robust lines.
-    let campaign_ckpt = args.resume.as_ref().map(|path| format!("{path}.robust"));
-    if let Some(path) = &campaign_ckpt {
-        println!("checkpointing campaign to {path} (resumes profiled candidates)");
-    }
-
-    let stage = hook.recorder().span(keys::STAGE_ROBUSTNESS);
-    let outcome = campaign.run_checkpointed(
-        sweep,
-        test_q,
-        &test_analog,
-        &AnalogModel::egfet(),
-        hook.recorder(),
-        campaign_ckpt.as_deref(),
-    );
-    stage.finish();
-
     if !sweep.failed_candidates.is_empty() {
         return Err(format!(
             "{} grid point(s) panicked during the sweep",
@@ -470,8 +456,10 @@ fn run_robustness(
         );
     }
 
-    match sweep.select_robust(args.loss, &outcome, &constraints) {
+    match sweep.select_robust(args.loss, outcome, &RobustnessConstraints::default()) {
         Some(robust) => {
+            let plain = choose(sweep, args.loss);
+            let (plain_tau, plain_depth) = (plain.tau, plain.depth);
             let agrees = robust.depth == plain_depth && robust.tau.to_bits() == plain_tau.to_bits();
             println!(
                 "robust selection (τ={}, depth {}): {:.1}% nominal — {}",

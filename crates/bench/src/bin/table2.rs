@@ -9,10 +9,10 @@
 //! interrupted earlier run (`printed-trace watch` can tail those files).
 
 use printed_bench::{
-    baseline_design, choose, explore_traced, hrule, load, row_label, stderr_progress, TraceHook,
-    BENCHMARK_SPAN, DEPTH_CAP,
+    hrule, load, row_label, stderr_progress, TraceHook, BENCHMARK_SPAN, DEPTH_CAP,
 };
 use printed_codesign::explore::{Exploration, ExplorationConfig};
+use printed_codesign::CodesignFlow;
 use printed_datasets::Benchmark;
 use printed_dtree::approx::{synthesize_approx, ApproxConfig};
 use printed_pdk::HARVESTER_BUDGET;
@@ -88,7 +88,6 @@ fn main() {
             .span(BENCHMARK_SPAN)
             .field("dataset", benchmark.to_string());
         let (train, test) = load(benchmark);
-        let (_, baseline2) = baseline_design(benchmark);
         let baseline7 = synthesize_approx(
             &train,
             &test,
@@ -103,8 +102,12 @@ fn main() {
             let slug = benchmark.to_string().to_lowercase();
             grid = grid.with_checkpoint(format!("{prefix}-{slug}.ndjson"));
         }
-        let sweep = explore_traced(&train, &test, &grid, hook.recorder(), Some(&progress));
-        let chosen = choose(&sweep, 0.01).clone();
+        let outcome = CodesignFlow::new(&train, &test)
+            .grid(grid)
+            .recorder(hook.recorder().clone())
+            .progress(&progress)
+            .run();
+        let (baseline2, chosen) = (&outcome.baseline, &outcome.chosen);
         span.field("accuracy", chosen.test_accuracy).finish();
 
         let area = chosen.system.total_area().mm2();
@@ -142,7 +145,7 @@ fn main() {
             if chosen.system.total_power() < HARVESTER_BUDGET { "yes" } else { "NO" },
         );
         if benchmark == Benchmark::Pendigits {
-            pendigits_sweep = Some(sweep);
+            pendigits_sweep = Some(outcome.sweep);
         }
     }
     hrule(132);

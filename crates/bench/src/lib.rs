@@ -86,9 +86,10 @@ pub fn baseline_design(benchmark: Benchmark) -> (TrainedModel, BaselineDesign) {
     (model, design)
 }
 
-/// The selection rule every binary uses: the most efficient design within
-/// `loss` of the reference, falling back to the most accurate candidate
-/// when even the reference accuracy is unreachable (noisy datasets).
+/// `CodesignFlow`'s nominal selection rule, for binaries holding a bare
+/// sweep: the most efficient design within `loss` of the reference,
+/// falling back to the most accurate candidate when even the reference
+/// accuracy is unreachable (noisy datasets).
 ///
 /// # Panics
 ///

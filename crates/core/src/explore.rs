@@ -454,16 +454,29 @@ pub fn explore_instrumented(
     recorder: &Recorder,
     progress: Option<ProgressFn<'_>>,
 ) -> Exploration {
+    config.validate();
+    let max_depth = *config.depths.iter().max().expect("non-empty");
+    let reference = train_depth_selected(train_data, test_data, max_depth);
     explore_core(
-        train_data, test_data, config, library, analog, analysis, recorder, progress, true,
+        train_data,
+        test_data,
+        config,
+        library,
+        analog,
+        analysis,
+        recorder,
+        progress,
+        true,
+        reference.test_accuracy,
     )
 }
 
-/// [`explore_instrumented`] with the whole-grid lint togglable — the
-/// `false` path exists solely so the lint-overhead budget test can
-/// measure the sweep with and without the in-flow analysis.
+/// [`explore_instrumented`] over a validated `config` and the test
+/// accuracy of the caller's [`train_depth_selected`] reference. The
+/// `grid_lint = false` path exists solely so the lint-overhead budget test
+/// can measure the sweep with and without the in-flow analysis.
 #[allow(clippy::too_many_arguments)]
-fn explore_core(
+pub(crate) fn explore_core(
     train_data: &QuantizedDataset,
     test_data: &QuantizedDataset,
     config: &ExplorationConfig,
@@ -473,10 +486,9 @@ fn explore_core(
     recorder: &Recorder,
     progress: Option<ProgressFn<'_>>,
     grid_lint: bool,
+    reference_accuracy: f64,
 ) -> Exploration {
-    config.validate();
-    let max_depth = *config.depths.iter().max().expect("non-empty");
-    let reference = train_depth_selected(train_data, test_data, max_depth);
+    let max_depth = *config.depths.iter().max().expect("validated non-empty");
 
     let grid: Vec<(usize, f64)> = config
         .depths
@@ -853,7 +865,7 @@ fn explore_core(
 
     Exploration {
         candidates,
-        reference_accuracy: reference.test_accuracy,
+        reference_accuracy,
         failed_candidates: failed,
         lint,
     }
@@ -1118,6 +1130,8 @@ mod tests {
         // instrumentation gate, so transient machine noise cancels.
         let (train_data, test_data) = Benchmark::Seeds.load_quantized(4).unwrap();
         let config = ExplorationConfig::quick();
+        let max_depth = *config.depths.iter().max().unwrap();
+        let reference = train_depth_selected(&train_data, &test_data, max_depth);
         let run = |grid_lint: bool| {
             let start = std::time::Instant::now();
             let sweep = explore_core(
@@ -1130,6 +1144,7 @@ mod tests {
                 &Recorder::disabled(),
                 None,
                 grid_lint,
+                reference.test_accuracy,
             );
             (sweep, start.elapsed())
         };

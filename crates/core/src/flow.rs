@@ -3,9 +3,10 @@
 //! Everything the paper's framework does, behind a single builder: train
 //! the ADC-unaware reference, synthesize the baseline system, sweep the
 //! ADC-aware grid, select under the accuracy-loss constraint, and package
-//! the result with its comparisons. The experiment binaries and examples
-//! compose the pieces by hand for transparency; downstream users usually
-//! want exactly this.
+//! the result with its comparisons. The `codesign` CLI, `bench_all` and
+//! `table2` are thin callers of this one composition; only the figure
+//! binaries that need the raw sweep (`fig5`, `bench_robust`) call the
+//! explorer directly.
 //!
 //! ```no_run
 //! use printed_codesign::flow::CodesignFlow;
@@ -31,9 +32,7 @@ use printed_datasets::Dataset;
 
 use crate::campaign::{CampaignOutcome, RobustnessCampaign, RobustnessConstraints};
 use crate::datasheet::Datasheet;
-use crate::explore::{
-    explore_instrumented, CandidateDesign, Exploration, ExplorationConfig, ProgressFn,
-};
+use crate::explore::{explore_core, CandidateDesign, Exploration, ExplorationConfig, ProgressFn};
 use crate::system::Reduction;
 
 /// Builder for the full co-design flow.
@@ -155,6 +154,12 @@ impl<'a> CodesignFlow<'a> {
     /// admission constraints. `analog_test` is the normalized analog test
     /// split the Monte Carlo scores on (same benchmark as the quantized
     /// pair). See [`Exploration::select_robust`].
+    ///
+    /// Under an [adaptive budget](RobustnessCampaign::budgeted) the flow
+    /// sets the budget's admission constraints to the selection's and, when
+    /// unset, its robust floor to `reference accuracy − loss`. When the
+    /// grid checkpoints ([`ExplorationConfig::with_checkpoint`]), the
+    /// campaign checkpoints to `<path>.robust` and resumes from it.
     pub fn robustness(self, campaign: RobustnessCampaign, analog_test: &'a Dataset) -> Self {
         self.robustness_with(campaign, analog_test, RobustnessConstraints::default())
     }
@@ -186,13 +191,7 @@ impl<'a> CodesignFlow<'a> {
         // sweep workers enter their own per-thread scopes. Dropped before
         // the snapshot below so the tallies land in the trace.
         let kernel_scope = printed_telemetry::KernelScope::enter(&self.recorder);
-        let max_depth = self
-            .grid
-            .depths
-            .iter()
-            .copied()
-            .max()
-            .expect("validated non-empty depths");
+        let max_depth = *self.grid.depths.iter().max().expect("validated");
 
         let stage = self.recorder.span(keys::STAGE_REFERENCE);
         let reference = train_depth_selected(self.train, self.test, max_depth);
@@ -204,7 +203,7 @@ impl<'a> CodesignFlow<'a> {
         stage.finish();
 
         let stage = self.recorder.span(keys::STAGE_SWEEP);
-        let sweep = explore_instrumented(
+        let sweep = explore_core(
             self.train,
             self.test,
             &self.grid,
@@ -213,49 +212,48 @@ impl<'a> CodesignFlow<'a> {
             &self.analysis,
             &self.recorder,
             self.progress,
+            true,
+            reference.test_accuracy,
         );
         stage.finish();
 
-        let campaign_outcome =
-            self.robustness
-                .as_ref()
-                .map(|(campaign, analog_test, constraints)| {
-                    // Under an adaptive budget the early-exit decisions must be
-                    // taken against the *selection* criteria, or the sequential
-                    // stopping rule could discard trials that selection still
-                    // needed. Inject the flow's robust floor and constraints so
-                    // the campaign decides exactly what `select_robust` will.
-                    let mut campaign = campaign.clone();
-                    if let Some(adaptive) = campaign.adaptive.as_mut() {
-                        adaptive.constraints = *constraints;
-                        if adaptive.robust_floor.is_none() {
-                            adaptive.robust_floor =
-                                Some(sweep.reference_accuracy - self.accuracy_loss);
-                        }
+        let campaign = self
+            .robustness
+            .as_ref()
+            .map(|(campaign, analog_test, constraints)| {
+                // Under an adaptive budget the early-exit decisions must be
+                // taken against the *selection* criteria, or the sequential
+                // stopping rule could discard trials that selection still
+                // needed. Inject the flow's robust floor and constraints so
+                // the campaign decides exactly what `select_robust` will.
+                let mut campaign = campaign.clone();
+                if let Some(adaptive) = campaign.adaptive.as_mut() {
+                    adaptive.constraints = *constraints;
+                    if adaptive.robust_floor.is_none() {
+                        adaptive.robust_floor = Some(sweep.reference_accuracy - self.accuracy_loss);
                     }
-                    let stage = self.recorder.span(keys::STAGE_ROBUSTNESS);
-                    let outcome = campaign.run_with(
-                        &sweep,
-                        self.test,
-                        analog_test,
-                        &self.analog,
-                        &self.recorder,
-                    );
-                    stage.finish();
-                    outcome
-                });
+                }
+                // The campaign checkpoints beside a checkpointed sweep, never
+                // inside it: sweep compaction rewrites that file.
+                let checkpoint = self.grid.checkpoint_path.clone().map(|p| p + ".robust");
+                let stage = self.recorder.span(keys::STAGE_ROBUSTNESS);
+                let outcome = campaign.run_checkpointed(
+                    &sweep,
+                    self.test,
+                    analog_test,
+                    &self.analog,
+                    &self.recorder,
+                    checkpoint.as_deref(),
+                );
+                stage.finish();
+                (outcome, constraints)
+            });
 
         let stage = self.recorder.span(keys::STAGE_SELECTION);
-        let robust_choice = campaign_outcome.as_ref().and_then(|outcome| {
-            let (_, _, constraints) = self.robustness.as_ref().expect("campaign implies config");
-            sweep
-                .select_robust(self.accuracy_loss, outcome, constraints)
-                .cloned()
-        });
-        if let Some(choice) = &robust_choice {
-            let profile = campaign_outcome
-                .as_ref()
-                .and_then(|o| o.profile_for(choice.tau, choice.depth))
+        let robust_choice = campaign.as_ref().and_then(|(outcome, constraints)| {
+            let choice = sweep.select_robust(self.accuracy_loss, outcome, constraints)?;
+            let profile = outcome
+                .profile_for(choice.tau, choice.depth)
                 .expect("robust choice was profiled");
             self.recorder.event(
                 keys::ROBUST_SELECTED_EVENT,
@@ -269,7 +267,8 @@ impl<'a> CodesignFlow<'a> {
                     ),
                 ],
             );
-        }
+            Some(choice.clone())
+        });
         let chosen = robust_choice
             .or_else(|| sweep.select(self.accuracy_loss).cloned())
             .or_else(|| sweep.most_accurate().cloned())
@@ -303,7 +302,7 @@ impl<'a> CodesignFlow<'a> {
             baseline,
             sweep,
             chosen,
-            robustness: campaign_outcome,
+            robustness: campaign.map(|(outcome, _)| outcome),
             lint: Some(lint),
             trace,
         }
@@ -336,10 +335,8 @@ pub fn record_process_gauges(recorder: &Recorder) {
 /// [`keys::CLASS_EVENT`] per class label with its two-level cover size.
 /// No-op when the recorder is disabled.
 ///
-/// [`CodesignFlow::run`] calls this at selection time; standalone sweeps
-/// (e.g. the bench binaries' `explore` + `choose` path) call it directly
-/// so their traces carry the same hardware-attribution records.
-pub fn record_selection(recorder: &Recorder, chosen: &CandidateDesign, analog: &AnalogModel) {
+/// [`CodesignFlow::run`] calls this at selection time.
+fn record_selection(recorder: &Recorder, chosen: &CandidateDesign, analog: &AnalogModel) {
     if !recorder.is_enabled() {
         return;
     }
@@ -672,5 +669,50 @@ mod tests {
             .grid(ExplorationConfig::quick())
             .run();
         assert!(plain.robustness.is_none());
+    }
+    #[test]
+    fn checkpointed_flow_checkpoints_the_campaign_and_resumes_from_it() {
+        let (train, test) = Benchmark::Seeds.load_quantized(4).unwrap();
+        let (_, analog_test) = Benchmark::Seeds.load_split().unwrap();
+        let path =
+            std::env::temp_dir().join(format!("printed-flow-ckpt-{}.ndjson", std::process::id()));
+        let path = path.to_str().unwrap().to_owned();
+        let robust_path = format!("{path}.robust");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&robust_path);
+        let run = || {
+            CodesignFlow::new(&train, &test)
+                .accuracy_loss(0.05)
+                .grid(ExplorationConfig::quick().with_checkpoint(&path))
+                .robustness(RobustnessCampaign::quick(), &analog_test)
+                .traced()
+                .run()
+        };
+        let mut first = run();
+        assert!(
+            std::fs::metadata(&robust_path).is_ok_and(|m| m.len() > 0),
+            "the campaign checkpoints beside the sweep checkpoint"
+        );
+        let mut resumed = run();
+        let profiled = first
+            .robustness
+            .as_ref()
+            .expect("campaign ran")
+            .profiles
+            .len();
+        let trace = resumed.trace.take().expect("traced");
+        assert_eq!(
+            trace.counter(keys::ROBUST_CHECKPOINT_HITS) as usize,
+            profiled,
+            "every profiled candidate is restored"
+        );
+        assert_eq!(
+            trace.counter(keys::SWEEP_CHECKPOINT_HITS) as usize,
+            first.sweep.candidates.len()
+        );
+        first.trace = None;
+        assert_eq!(resumed, first);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&robust_path);
     }
 }

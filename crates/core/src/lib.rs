@@ -59,7 +59,7 @@ pub use ensemble::{synthesize_ensemble, EnsembleSystem};
 pub use explore::{
     explore, CandidateDesign, CandidateLint, Exploration, ExplorationConfig, FailedCandidate,
 };
-pub use flow::{record_process_gauges, record_selection, CodesignFlow, FlowOutcome};
+pub use flow::{record_process_gauges, CodesignFlow, FlowOutcome};
 pub use lint::{fix_candidate, lint_candidate, lint_candidate_scoped, record_lint};
 pub use mismatch::{mismatch_accuracy, MismatchReport, MismatchTrialStream, MismatchTrials};
 pub use printed_lint::{Diagnostic, LintConfig, LintLevel, LintReport, Severity};

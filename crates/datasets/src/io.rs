@@ -35,8 +35,10 @@ use crate::dataset::{Dataset, DatasetError};
 ///
 /// # Errors
 ///
-/// Returns [`CsvError`] on empty input, ragged rows, or non-numeric
-/// feature fields.
+/// Returns [`CsvError`] on empty input, rows whose width differs from the
+/// header's or the first row's, or feature fields that are not finite
+/// numbers. Only a first row with a non-numeric field is a header; one
+/// holding NaN or infinity is a [`CsvError::BadFeature`].
 pub fn parse_csv(name: &str, text: &str) -> Result<Dataset, CsvError> {
     let mut rows: Vec<(Vec<f64>, usize)> = Vec::new();
     let mut label_ids: BTreeMap<String, usize> = BTreeMap::new();
@@ -58,13 +60,12 @@ pub fn parse_csv(name: &str, text: &str) -> Result<Dataset, CsvError> {
         let parsed: Result<Vec<f64>, _> = feature_fields.iter().map(|f| f.parse::<f64>()).collect();
         let features = match parsed {
             Ok(v) if v.iter().all(|x| x.is_finite()) => v,
-            _ => {
-                // A non-numeric first row is a header: skip it once.
-                if rows.is_empty() && n_features.is_none() {
-                    continue;
-                }
-                return Err(CsvError::BadFeature { line: line_no + 1 });
+            // A non-numeric first row is a header, and it fixes the width.
+            Err(_) if n_features.is_none() => {
+                n_features = Some(feature_fields.len());
+                continue;
             }
+            _ => return Err(CsvError::BadFeature { line: line_no + 1 }),
         };
         match n_features {
             None => n_features = Some(features.len()),
@@ -85,8 +86,12 @@ pub fn parse_csv(name: &str, text: &str) -> Result<Dataset, CsvError> {
         rows.push((features, label));
     }
 
-    let n_features = n_features.ok_or(CsvError::Empty)?;
-    Dataset::from_rows(name, n_features, rows).map_err(CsvError::Dataset)
+    match n_features {
+        Some(n_features) if !rows.is_empty() => {
+            Dataset::from_rows(name, n_features, rows).map_err(CsvError::Dataset)
+        }
+        _ => Err(CsvError::Empty),
+    }
 }
 
 /// Reads a CSV file from disk into a [`Dataset`]; the file stem becomes the
@@ -147,7 +152,8 @@ pub enum CsvError {
         /// 1-based line number.
         line: usize,
     },
-    /// A row's feature count differed from the first row's.
+    /// A row's feature count differed from the header's or the first
+    /// row's.
     Ragged {
         /// 1-based line number.
         line: usize,
@@ -244,32 +250,55 @@ mod tests {
     }
 
     #[test]
-    fn error_cases() {
-        assert!(matches!(parse_csv("t", ""), Err(CsvError::Empty)));
-        assert!(matches!(parse_csv("t", "# only\n"), Err(CsvError::Empty)));
-        assert!(matches!(
-            parse_csv("t", "5\n"),
-            Err(CsvError::TooFewColumns { line: 1 })
-        ));
-        assert!(matches!(
-            parse_csv("t", "1,2,0\n3,1\n"),
-            Err(CsvError::Ragged {
-                line: 2,
-                expected: 2,
-                got: 1
-            })
-        ));
-        assert!(matches!(
-            parse_csv("t", "1,2,0\nxyz,2,1\n"),
-            Err(CsvError::BadFeature { line: 2 })
-        ));
-        let msg = CsvError::Ragged {
-            line: 2,
-            expected: 3,
-            got: 1,
+    fn parse_outcomes_by_input() {
+        // Ok((rows, features)) or the error's message.
+        type Outcome = Result<(usize, usize), &'static str>;
+        let cases: &[(&str, Outcome)] = &[
+            ("1.0,2.0,0\n3.0,4.0,1\n", Ok((2, 2))),
+            ("# log\nf0,f1,label\n\n0.5,0.5,a\n0.6,0.4,b\n", Ok((2, 2))),
+            ("a,b,label\n1,2,0\n", Ok((1, 2))),
+            ("1,healthy\n2,sick\n", Ok((2, 1))),
+            ("-1e3,0.5,0\n", Ok((1, 2))),
+            ("", Err("no data rows in CSV")),
+            ("# only\n", Err("no data rows in CSV")),
+            ("f0,f1,label\n", Err("no data rows in CSV")),
+            (
+                "5\n",
+                Err("line 1: need at least one feature column and a label"),
+            ),
+            ("1,2,0\n3,1\n", Err("line 2: 1 features, expected 2")),
+            // The header fixes the width: a narrower first row is ragged.
+            ("a,b,label\n1,2\n", Err("line 2: 1 features, expected 2")),
+            ("a,label\n1,2,0\n", Err("line 2: 2 features, expected 1")),
+            (
+                "1,2,0\nxyz,2,1\n",
+                Err("line 2: feature field is not a finite number"),
+            ),
+            // Only one header: a second non-numeric row is bad data.
+            (
+                "a,b,label\nc,d,label\n1,2,0\n",
+                Err("line 2: feature field is not a finite number"),
+            ),
+            // A non-finite first row is bad data, not a second header.
+            (
+                "NaN,1,0\n2,3,1\n",
+                Err("line 1: feature field is not a finite number"),
+            ),
+            (
+                "f0,f1,label\n1,inf,0\n2,3,1\n",
+                Err("line 2: feature field is not a finite number"),
+            ),
+            (
+                "1,2,0\n-inf,3,1\n",
+                Err("line 2: feature field is not a finite number"),
+            ),
+        ];
+        for &(text, expected) in cases {
+            let got = parse_csv("t", text)
+                .map(|ds| (ds.len(), ds.n_features()))
+                .map_err(|e| e.to_string());
+            assert_eq!(got, expected.map_err(str::to_owned), "input {text:?}");
         }
-        .to_string();
-        assert!(msg.contains("line 2"));
     }
 
     #[test]

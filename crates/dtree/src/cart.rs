@@ -547,10 +547,10 @@ pub struct TrainedModel {
     pub test_accuracy: f64,
 }
 
-/// Trains at every depth `1..=max_depth` and returns the model at the
-/// *minimum* depth achieving the maximum test accuracy — the paper's
-/// baseline model-selection rule. The [`DatasetIndex`] is built once and
-/// shared across every depth.
+/// Returns the model at the *minimum* depth in `1..=max_depth` achieving
+/// the maximum test accuracy — the paper's baseline model-selection rule.
+/// Trains once, at `max_depth`, and derives each shallower depth by
+/// [`DecisionTree::truncated`], which equals training afresh at it.
 ///
 /// # Panics
 ///
@@ -562,9 +562,12 @@ pub fn train_depth_selected(
 ) -> TrainedModel {
     assert!(max_depth >= 1, "max_depth must be at least 1");
     let index = DatasetIndex::new(train_data);
+    let full = train_with_index(train_data, &index, &CartConfig::with_max_depth(max_depth));
+    let majorities = full.node_majorities(train_data);
     let mut best: Option<TrainedModel> = None;
-    for depth in 1..=max_depth {
-        let tree = train_with_index(train_data, &index, &CartConfig::with_max_depth(depth));
+    // Caps past the grown depth return `full` again: never strictly better.
+    for depth in 1..=max_depth.min(full.depth().max(1)) {
+        let tree = full.truncated(depth, &majorities);
         let model = TrainedModel {
             train_accuracy: tree.accuracy(train_data),
             test_accuracy: tree.accuracy(test_data),
@@ -580,7 +583,7 @@ pub fn train_depth_selected(
             best = Some(model);
         }
     }
-    best.expect("at least one depth trained")
+    best.expect("at least one depth scored")
 }
 
 #[cfg(test)]

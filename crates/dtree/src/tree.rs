@@ -321,13 +321,13 @@ impl DecisionTree {
     /// at depth `max_depth` and below are replaced by leaves predicting
     /// `majorities[node]` (see [`DecisionTree::node_majorities`]; trainers
     /// can supply the majorities they already computed during growth).
-    /// Nodes are re-laid-out in BFS order, so for a breadth-first-grown
-    /// tree the result is *bit-identical* to growing with the lower cap:
-    /// BFS commits every depth < `max_depth` decision before the first
-    /// depth-`max_depth` node is even considered.
+    /// Surviving nodes keep their original relative order. Dropping whole
+    /// subtrees preserves both a breadth-first layout (Algorithm 1) and a
+    /// depth-first pre-order one (CART), and neither trainer decides a node
+    /// from anything below it, so for both the result is *bit-identical* to
+    /// growing with the lower cap.
     ///
-    /// `max_depth >= self.depth()` returns the tree unchanged (modulo the
-    /// BFS re-layout, which is the identity for trainer-built trees);
+    /// `max_depth >= self.depth()` returns the tree unchanged;
     /// `max_depth == 0` collapses to a single root-majority leaf.
     ///
     /// # Panics
@@ -340,39 +340,30 @@ impl DecisionTree {
             self.nodes.len(),
             "need one majority class per node"
         );
-        let mut nodes: Vec<Node> = Vec::with_capacity(self.nodes.len());
-        let mut queue: std::collections::VecDeque<(usize, usize, usize)> =
-            std::collections::VecDeque::new();
-        nodes.push(Node::Leaf { class: 0 }); // placeholder for the root
-        queue.push_back((0, 0, 0)); // (old index, new slot, depth)
-        while let Some((old, slot, depth)) = queue.pop_front() {
-            match self.nodes[old] {
-                Node::Leaf { class } => nodes[slot] = Node::Leaf { class },
-                Node::Split {
-                    feature,
-                    threshold,
-                    lo,
-                    hi,
-                } => {
-                    if depth >= max_depth {
-                        nodes[slot] = Node::Leaf {
-                            class: majorities[old],
-                        };
-                        continue;
-                    }
-                    let lo_slot = nodes.len();
-                    nodes.push(Node::Leaf { class: 0 });
-                    let hi_slot = nodes.len();
-                    nodes.push(Node::Leaf { class: 0 });
-                    nodes[slot] = Node::Split {
-                        feature,
-                        threshold,
-                        lo: lo_slot,
-                        hi: hi_slot,
-                    };
-                    queue.push_back((lo, lo_slot, depth + 1));
-                    queue.push_back((hi, hi_slot, depth + 1));
+        // Children always follow their parent (`from_nodes` checks it), so
+        // one forward pass settles every node's depth before its children.
+        let mut depth: Vec<Option<usize>> = vec![None; self.nodes.len()];
+        depth[0] = Some(0);
+        let mut slot = vec![usize::MAX; self.nodes.len()];
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        for (i, &node) in self.nodes.iter().enumerate() {
+            let Some(d) = depth[i] else { continue };
+            slot[i] = nodes.len();
+            nodes.push(match node {
+                Node::Split { lo, hi, .. } if d < max_depth => {
+                    depth[lo] = Some(d + 1);
+                    depth[hi] = Some(d + 1);
+                    node
                 }
+                Node::Split { .. } => Node::Leaf {
+                    class: majorities[i],
+                },
+                Node::Leaf { .. } => node,
+            });
+        }
+        for node in &mut nodes {
+            if let Node::Split { lo, hi, .. } = node {
+                (*lo, *hi) = (slot[*lo], slot[*hi]);
             }
         }
         DecisionTree::from_nodes(self.bits, self.n_features, self.n_classes, nodes)

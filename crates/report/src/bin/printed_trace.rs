@@ -78,10 +78,7 @@ fn main() -> ExitCode {
         Some("watch") => cmd_watch(&args[1..]),
         Some("history") => cmd_history(&args[1..]),
         Some("snapshot") => cmd_snapshot(&args[1..]),
-        Some("--help" | "-h" | "help") => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+        Some("--help" | "-h" | "help") => emit(&format!("{USAGE}\n")).map(|_| ExitCode::SUCCESS),
         Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
         None => Err(USAGE.to_owned()),
     };
@@ -92,6 +89,32 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// Writes `text` to stdout. `Ok(false)` means the reader closed the pipe
+/// (`printed-trace report … | head`): it wants no more output, so the
+/// command ends quietly instead of panicking.
+fn emit(text: &str) -> Result<bool, String> {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("stdout: {e}")),
+    }
+}
+
+/// `print!` through [`emit`]: once the reader has closed stdout, the
+/// enclosing command returns success without printing more.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if !emit(&format!($($arg)*))? {
+            return Ok(ExitCode::SUCCESS);
+        }
+    };
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -135,11 +158,15 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
     for warning in &parsed.warnings {
         eprintln!("warning: {path}: {warning}");
     }
-    print!("{}", parsed.trace.render_text());
-    println!();
-    print!("{}", Profile::from_trace(&parsed.trace).render_text());
-    println!();
-    print!("{}", CostReport::from_trace(&parsed.trace).render_text());
+    if parsed.records == 0 {
+        return Err(format!("{path}: no valid trace record"));
+    }
+    out!(
+        "{}\n{}\n{}",
+        parsed.trace.render_text(),
+        Profile::from_trace(&parsed.trace).render_text(),
+        CostReport::from_trace(&parsed.trace).render_text()
+    );
     Ok(ExitCode::SUCCESS)
 }
 
@@ -212,19 +239,18 @@ fn gate<S: Stats>(
         diff_many(&baselines, &currents, config)?
     };
     let failures = reports.iter().filter(|r| !r.passed()).count();
-    if table {
-        print!("{}", render_table(&reports));
+    let text = if table {
+        render_table(&reports)
     } else {
-        for (i, report) in reports.iter().enumerate() {
-            if i > 0 {
-                println!();
-            }
-            print!("{}", report.render_text());
-        }
+        let mut text = reports
+            .iter()
+            .map(|report| report.render_text())
+            .collect::<Vec<_>>()
+            .join("\n");
         if reports.len() > 1 {
             let (label, noun) = S::AXIS.summary;
-            println!(
-                "{label}: {}/{} {noun} passed{}",
+            text += &format!(
+                "{label}: {}/{} {noun} passed{}\n",
                 reports.len() - failures,
                 reports.len(),
                 if failures > 0 {
@@ -234,7 +260,10 @@ fn gate<S: Stats>(
                 }
             );
         }
-    }
+        text
+    };
+    // The verdict stands even when the reader stops reading early.
+    emit(&text)?;
     Ok(if failures == 0 {
         ExitCode::SUCCESS
     } else {
@@ -283,7 +312,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
             Err(e) => return Err(format!("{path}: {e}")),
         };
         if content.len() < consumed {
-            println!("watch: {path} truncated (writer finalized or restarted), re-reading");
+            out!("watch: {path} truncated (writer finalized or restarted), re-reading\n");
             watcher.reset();
             consumed = 0;
             reported_alerts = 0;
@@ -294,23 +323,23 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
 
         let state = watcher.state();
         for alert in &state.alerts[reported_alerts..] {
-            println!("watch: ALERT {alert}");
+            out!("watch: ALERT {alert}\n");
         }
         reported_alerts = state.alerts.len();
         for note in &state.notes[reported_notes..] {
-            println!("watch: note: {note}");
+            out!("watch: note: {note}\n");
         }
         reported_notes = state.notes.len();
         let status = state.status_line();
         if status != last_status {
-            println!("watch: {status}");
+            out!("watch: {status}\n");
             last_status = status;
         }
         if state.finalized {
             if let Some(selected) = &state.selected {
-                println!("watch: {selected}");
+                out!("watch: {selected}\n");
             }
-            println!("watch: trace finalized, exiting");
+            out!("watch: trace finalized, exiting\n");
             return Ok(ExitCode::SUCCESS);
         }
         if once {
@@ -363,7 +392,7 @@ fn cmd_history(args: &[String]) -> Result<ExitCode, String> {
     for warning in warnings {
         eprintln!("warning: {path}: {warning}");
     }
-    print!("{}", render_history(&entries, dataset.as_deref()));
+    out!("{}", render_history(&entries, dataset.as_deref()));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -393,7 +422,7 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
             std::fs::write(out, format!("{json}\n")).map_err(|e| format!("{out}: {e}"))?;
             eprintln!("wrote {out}");
         }
-        None => println!("{json}"),
+        None => out!("{json}\n"),
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -33,6 +33,9 @@ pub struct ParsedTrace {
     /// Human-readable notes about skipped/malformed lines (empty for a
     /// clean dump).
     pub warnings: Vec<String>,
+    /// How many lines parsed as a trace record; 0 means the text held no
+    /// trace at all (empty, or every line malformed).
+    pub records: usize,
 }
 
 impl ParsedTrace {
@@ -130,9 +133,11 @@ pub fn parse_trace(text: &str) -> ParsedTrace {
             }),
             other => Err(format!("unknown kind {other:?}")),
         };
-        if let Err(reason) = outcome {
-            out.warnings
-                .push(format!("line {lineno}: skipped {kind} ({reason})"));
+        match outcome {
+            Ok(()) => out.records += 1,
+            Err(reason) => out
+                .warnings
+                .push(format!("line {lineno}: skipped {kind} ({reason})")),
         }
     }
 

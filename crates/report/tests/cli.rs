@@ -430,3 +430,77 @@ fn usage_errors_exit_two() {
     );
     assert_eq!(printed_trace(&["--help"]).status.code(), Some(0));
 }
+
+#[test]
+fn report_without_a_valid_record_names_the_file_and_exits_two() {
+    let line = traced_seeds().to_ndjson();
+    let first = line.lines().next().expect("a trace has records");
+    for (name, text) in [
+        ("empty.ndjson", String::new()),
+        ("blank.ndjson", "\n\n".to_owned()),
+        ("torn.ndjson", first[..first.len() / 2].to_owned()),
+    ] {
+        let path = scratch(name);
+        std::fs::write(&path, text).unwrap();
+        let path = path.to_str().unwrap();
+        let output = printed_trace(&["report", path]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{name}: stderr {stderr}");
+        assert!(
+            stderr.contains(&format!("{path}: no valid trace record")),
+            "{name}: stderr {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{name}: nothing rendered");
+    }
+}
+
+#[test]
+fn every_command_exits_quietly_into_a_closed_pipe() {
+    use printed_report::TraceStats;
+    use std::process::Stdio;
+
+    let trace = traced_seeds();
+    let trace_path = scratch("pipe_trace.ndjson");
+    std::fs::write(&trace_path, trace.to_ndjson()).unwrap();
+    let stats_path = scratch("pipe_stats.ndjson");
+    let stats = TraceStats::from_trace(&trace).to_json();
+    std::fs::write(&stats_path, format!("{stats}\n")).unwrap();
+    let history_path = scratch("pipe_history.ndjson");
+    let _ = std::fs::remove_file(&history_path);
+    let status = printed_trace(&[
+        "history",
+        "append",
+        history_path.to_str().unwrap(),
+        stats_path.to_str().unwrap(),
+    ])
+    .status;
+    assert!(status.success());
+
+    let (trace_path, stats_path, history_path) = (
+        trace_path.to_str().unwrap(),
+        stats_path.to_str().unwrap(),
+        history_path.to_str().unwrap(),
+    );
+    for args in [
+        vec!["report", trace_path],
+        vec!["diff", stats_path, stats_path],
+        vec!["diff", stats_path, stats_path, "--table"],
+        vec!["watch", trace_path, "--once"],
+        vec!["history", history_path],
+        vec!["snapshot", trace_path],
+        vec!["--help"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_printed-trace"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("printed-trace runs");
+        // Close the read end before the first write: every write fails.
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("printed-trace exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{args:?}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: stderr {stderr}");
+    }
+}

@@ -17,7 +17,9 @@
 //!    a serial per-sample, per-fault `FaultyNetlist` reduction;
 //! 5. the mismatch trials, nominal score and droop margin, which score the
 //!    printed netlist on the tape, equal a tree walk under the same
-//!    per-pair thresholds.
+//!    per-pair thresholds;
+//! 6. the depth-selected CART reference, derived by truncating one
+//!    max-depth tree, equals training afresh at every depth.
 //!
 //! [`SplitEngine`]: printed_ml::dtree::cart::SplitEngine
 
@@ -36,8 +38,9 @@ use printed_ml::codesign::{
     decode_one_hot, fault_robustness, FaultRobustness, MismatchTrials, RobustnessCampaign,
     SupplyDroopModel, UnaryClassifier,
 };
-use printed_ml::datasets::{Benchmark, Dataset, QuantizedDataset};
-use printed_ml::dtree::{DecisionTree, Node};
+use printed_ml::datasets::{Benchmark, Dataset, DatasetIndex, QuantizedDataset};
+use printed_ml::dtree::cart::{train_depth_selected, train_with_index, CartConfig, TrainedModel};
+use printed_ml::dtree::{synthesize_baseline, DecisionTree, Node};
 use printed_ml::logic::faults::{enumerate_faults, FaultyNetlist, StuckAt};
 use printed_ml::pdk::AnalogModel;
 use printed_ml::report::TraceStats;
@@ -388,6 +391,92 @@ fn mismatch_and_droop_scores_equal_the_tree_walk_on_every_benchmark() {
                     "{context}: droop margin"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn cart_truncation_equals_fresh_training_on_every_benchmark() {
+    for benchmark in Benchmark::ALL {
+        let (train, _test) = benchmark.load_quantized(BITS).expect("built-ins load");
+        let index = DatasetIndex::new(&train);
+        let fresh = |depth| train_with_index(&train, &index, &CartConfig::with_max_depth(depth));
+        for cap in [2, 4, 6, 8] {
+            let deep = fresh(cap);
+            let majorities = deep.node_majorities(&train);
+            for depth in 1..=cap {
+                assert_eq!(
+                    deep.truncated(depth, &majorities),
+                    fresh(depth),
+                    "{benchmark}: cap-{cap} CART tree truncated to depth {depth}"
+                );
+            }
+        }
+    }
+}
+
+/// The depth selection retraining CART from scratch at every depth — the
+/// retained reference for [`train_depth_selected`].
+fn depth_selected_by_retraining(
+    train: &QuantizedDataset,
+    test: &QuantizedDataset,
+    max_depth: usize,
+) -> TrainedModel {
+    let index = DatasetIndex::new(train);
+    let mut best: Option<TrainedModel> = None;
+    for depth in 1..=max_depth {
+        let tree = train_with_index(train, &index, &CartConfig::with_max_depth(depth));
+        let model = TrainedModel {
+            train_accuracy: tree.accuracy(train),
+            test_accuracy: tree.accuracy(test),
+            tree,
+            depth,
+        };
+        let better = match &best {
+            None => true,
+            Some(b) => model.test_accuracy > b.test_accuracy + 1e-12,
+        };
+        if better {
+            best = Some(model);
+        }
+    }
+    best.expect("max_depth >= 1")
+}
+
+#[test]
+fn depth_selection_by_truncation_equals_retraining_on_every_benchmark() {
+    for benchmark in Benchmark::ALL {
+        let (train, test) = benchmark.load_quantized(BITS).expect("built-ins load");
+        for max_depth in [1, 6, 8] {
+            let fast = train_depth_selected(&train, &test, max_depth);
+            let slow = depth_selected_by_retraining(&train, &test, max_depth);
+            let context = format!("{benchmark} at max depth {max_depth}");
+            assert_eq!(fast.tree, slow.tree, "{context}: tree");
+            assert_eq!(fast.depth, slow.depth, "{context}: depth");
+            assert_eq!(
+                fast.test_accuracy.to_bits(),
+                slow.test_accuracy.to_bits(),
+                "{context}: test accuracy"
+            );
+            assert_eq!(
+                fast.train_accuracy.to_bits(),
+                slow.train_accuracy.to_bits(),
+                "{context}: train accuracy"
+            );
+            let (a, b) = (
+                synthesize_baseline(&fast.tree),
+                synthesize_baseline(&slow.tree),
+            );
+            assert_eq!(
+                a.total_area().mm2().to_bits(),
+                b.total_area().mm2().to_bits(),
+                "{context}: baseline area"
+            );
+            assert_eq!(
+                a.total_power().mw().to_bits(),
+                b.total_power().mw().to_bits(),
+                "{context}: baseline power"
+            );
         }
     }
 }
